@@ -42,7 +42,7 @@ AnomalyEngine::SlotState AnomalyEngine::MakeSlotState() const {
 void AnomalyEngine::BeginWindow() {
   for (SlotState& slot : slots_) {
     slot.prev = PathObservation{};
-    slot.prev_rtt = RttSketch{};
+    slot.prev_rtt.Clear();  // in place: the slot's bin storage is reused next window
   }
 }
 
@@ -90,12 +90,17 @@ std::vector<LinkAnomaly> AnomalyEngine::Observe(const ProbeMatrix& matrix,
         any_flagged = true;
       }
     }
-    // Latency signal over the boundary's RTT delta sketch.
-    RttSketch delta_rtt = cur_rtt;
-    delta_rtt.Merge(slot.prev_rtt, -1);
-    if (delta_rtt.total() >= options_.min_rtt_samples) {
-      const double p50 = static_cast<double>(delta_rtt.Quantile(0.5));
-      const double p99 = static_cast<double>(delta_rtt.Quantile(0.99));
+    // Latency signal over the boundary's RTT delta (cur - prev), read without materializing
+    // the delta sketch.
+    CHECK(RttSketch::Mergeable(cur_rtt, slot.prev_rtt))
+        << "merging sketches with different bin counts: " << cur_rtt.num_bins() << " vs "
+        << slot.prev_rtt.num_bins();
+    const int64_t delta_rtt_total = cur_rtt.total() - slot.prev_rtt.total();
+    if (delta_rtt_total >= options_.min_rtt_samples) {
+      const double p50 =
+          static_cast<double>(RttSketch::DifferenceQuantile(cur_rtt, slot.prev_rtt, 0.5));
+      const double p99 =
+          static_cast<double>(RttSketch::DifferenceQuantile(cur_rtt, slot.prev_rtt, 0.99));
       if (slot.p50.Excursion(p50, options_.rtt_floor_us) ||
           slot.p99.Excursion(p99, options_.rtt_floor_us)) {
         ++slot.lat_run;

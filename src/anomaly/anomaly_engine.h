@@ -72,10 +72,6 @@ class AnomalyEngine {
   // (slot identities are not stable across a rebuild).
   void Reset();
 
-  const AnomalyOptions& options() const { return options_; }
-  const std::vector<LinkAnomaly>& current() const { return current_; }
-
- private:
   struct SlotState {
     PathObservation prev;      // totals at the previous boundary
     RttSketch prev_rtt;        // RTT totals at the previous boundary
@@ -86,6 +82,12 @@ class AnomalyEngine {
     int32_t lat_run = 0;       // consecutive latency-excursion boundaries
   };
 
+  const AnomalyOptions& options() const { return options_; }
+  const std::vector<LinkAnomaly>& current() const { return current_; }
+  // Per-slot learned state (baselines, excursion runs, previous-boundary totals), read-only.
+  std::span<const SlotState> slot_states() const { return slots_; }
+
+ private:
   SlotState MakeSlotState() const;
 
   AnomalyOptions options_;

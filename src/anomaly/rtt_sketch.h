@@ -15,9 +15,15 @@
 // all-zero sketches, so producers skip empty sketches entirely (nothing is
 // recorded or put on the wire for a path with no RTT samples) to keep direct
 // and report-plane folds bit-identical.
+//
+// Sparse form: a sketch's non-zero bins as (bin, count) pairs plus its bin
+// count. The ObservationStore keeps every probe record's sketch this way (one
+// record usually holds a single sample), and MergeSparse folds the pairs into a
+// dense sketch under exactly Merge's rules.
 #ifndef SRC_ANOMALY_RTT_SKETCH_H_
 #define SRC_ANOMALY_RTT_SKETCH_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -26,6 +32,13 @@
 #include "src/common/check.h"
 
 namespace detector {
+
+// One non-zero bin of a sketch in sparse form. Counts stay 64-bit: wire-decoded
+// counts are peer-supplied and must fold exactly, never truncated.
+struct RttBinCount {
+  int32_t bin = 0;
+  int64_t count = 0;
+};
 
 class RttSketch {
  public:
@@ -82,20 +95,32 @@ class RttSketch {
   // sketch is a no-op.
   void Merge(const RttSketch& other, int64_t sign = 1) {
     if (other.counts_.empty()) return;
-    if (counts_.empty()) counts_.resize(other.counts_.size(), 0);
-    CHECK(counts_.size() == other.counts_.size())
-        << "merging sketches with different bin counts: " << counts_.size() << " vs "
-        << other.counts_.size();
+    AdoptBins(other.num_bins());
     for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += sign * other.counts_[i];
     total_ += sign * other.total_;
-    if (total_ == 0) {
-      // A merge that cancels every count (the watchdog retract path) returns the sketch to
-      // the empty state, so a running fold stays bit-identical to a view rebuilt from the
-      // surviving records — which never merges anything for a fully retracted slot.
-      for (const int64_t c : counts_) {
-        if (c != 0) return;
-      }
-      counts_.clear();
+    CancelToEmpty();
+  }
+
+  // Merge of the sketch whose sparse form is (num_bins, bins): same bin-count
+  // adoption, CHECK and cancel-to-empty rules. num_bins == 0 is the empty sketch.
+  void MergeSparse(int num_bins, std::span<const RttBinCount> bins, int64_t sign = 1) {
+    if (num_bins == 0) return;
+    AdoptBins(num_bins);
+    int64_t total = 0;
+    for (const RttBinCount& entry : bins) {
+      DCHECK(entry.bin >= 0 && entry.bin < num_bins);
+      counts_[static_cast<size_t>(entry.bin)] += sign * entry.count;
+      total += entry.count;
+    }
+    total_ += sign * total;
+    CancelToEmpty();
+  }
+
+  // Appends the non-zero bins, in bin order, to `out` (the sparse form; pair it
+  // with num_bins()).
+  void AppendNonZero(std::vector<RttBinCount>& out) const {
+    for (size_t i = 0; i < counts_.size(); ++i) {
+      if (counts_[i] != 0) out.push_back(RttBinCount{static_cast<int32_t>(i), counts_[i]});
     }
   }
 
@@ -110,14 +135,51 @@ class RttSketch {
   // true quantile lies in [result, BinUpperUs(bin)). Returns 0 when empty.
   int64_t Quantile(double q) const;
 
+  // Quantile(q) of the difference sketch `minuend` minus `subtrahend` (what
+  // copying minuend and merging subtrahend with sign -1 would hold), computed
+  // without building it. CHECKs like that Merge on mismatched bin counts.
+  static int64_t DifferenceQuantile(const RttSketch& minuend, const RttSketch& subtrahend,
+                                    double q);
+
+  // Whether Merge(b) into a (or the reverse) passes the bin-count CHECK.
+  static bool Mergeable(const RttSketch& a, const RttSketch& b) {
+    return a.empty() || b.empty() || a.num_bins() == b.num_bins();
+  }
+
+  // Empties the sketch; the bin storage keeps its capacity for reuse.
   void Clear() {
     counts_.clear();
+    total_ = 0;
+  }
+
+  // Zeroes every count but keeps the bin count: a recorder reused across paths.
+  void ZeroCounts() {
+    std::fill(counts_.begin(), counts_.end(), 0);
     total_ = 0;
   }
 
   bool operator==(const RttSketch&) const = default;
 
  private:
+  // Merge's bin-count rule: an empty sketch adopts `num_bins`; otherwise they must match.
+  void AdoptBins(int num_bins) {
+    if (counts_.empty()) counts_.resize(static_cast<size_t>(num_bins), 0);
+    CHECK(counts_.size() == static_cast<size_t>(num_bins))
+        << "merging sketches with different bin counts: " << counts_.size() << " vs "
+        << num_bins;
+  }
+
+  // A merge that cancels every count (the watchdog retract path) returns the sketch to the
+  // empty state, so a running fold stays bit-identical to a view rebuilt from the surviving
+  // records — which never merges anything for a fully retracted slot.
+  void CancelToEmpty() {
+    if (total_ != 0) return;
+    for (const int64_t c : counts_) {
+      if (c != 0) return;
+    }
+    counts_.clear();
+  }
+
   std::vector<int64_t> counts_;
   int64_t total_ = 0;
 };

@@ -74,16 +74,16 @@ Observations Diagnoser::AggregatedObservations(const ProbeMatrix& matrix,
 
 std::vector<ServerLinkAlarm> Diagnoser::ServerLinkAlarms(const Watchdog& watchdog) const {
   std::vector<ServerLinkAlarm> alarms;
-  for (const IntraRackObservation& record : store_.IntraRackObservations(watchdog)) {
+  store_.ForEachIntraRack(watchdog, [&](const IntraRackObservation& record) {
     if (record.sent == 0) {
-      continue;
+      return;
     }
     const double ratio = static_cast<double>(record.lost) / static_cast<double>(record.sent);
     if (record.lost >= options_.preprocess.min_lost_packets &&
         ratio > options_.preprocess.path_loss_ratio_threshold) {
       alarms.push_back(ServerLinkAlarm{record.pinger, record.target, ratio});
     }
-  }
+  });
   return alarms;
 }
 

@@ -18,22 +18,29 @@ void ObservationStore::Shard::RecordPathAtEpoch(PathId slot, uint32_t epoch, Nod
 }
 
 void ObservationStore::Shard::RecordPathWithRtt(PathId slot, NodeId target, int64_t sent,
-                                                int64_t lost, RttSketch sketch) {
+                                                int64_t lost, const RttSketch& sketch) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
   DCHECK(!sketch.empty()) << "record RTT-less paths via RecordPath";
-  const int32_t rtt = static_cast<int32_t>(rtt_.size());
-  rtt_.push_back(std::move(sketch));
-  paths_.push_back(PathRecord{slot, target, sent, lost,
-                              store_->slot_epoch_[static_cast<size_t>(slot)], rtt});
+  Append(PathRecord{slot, target, sent, lost, store_->slot_epoch_[static_cast<size_t>(slot)]},
+         sketch);
 }
 
 void ObservationStore::Shard::RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target,
-                                                   RttSketch sketch) {
+                                                   const RttSketch& sketch) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
   DCHECK(!sketch.empty());
-  const int32_t rtt = static_cast<int32_t>(rtt_.size());
-  rtt_.push_back(std::move(sketch));
-  paths_.push_back(PathRecord{slot, target, 0, 0, epoch, rtt});
+  Append(PathRecord{slot, target, 0, 0, epoch}, sketch);
+}
+
+void ObservationStore::Shard::Append(PathRecord record, const RttSketch& sketch) {
+  static_assert(RttSketch::kMaxBins <= UINT16_MAX, "bin counts must fit PathRecord");
+  CHECK(rtt_bins_.size() <= UINT32_MAX - static_cast<size_t>(RttSketch::kMaxBins))
+      << "RTT arena offset overflow";
+  record.rtt_offset = static_cast<uint32_t>(rtt_bins_.size());
+  sketch.AppendNonZero(rtt_bins_);
+  record.rtt_len = static_cast<uint16_t>(rtt_bins_.size() - record.rtt_offset);
+  record.rtt_num_bins = static_cast<uint16_t>(sketch.num_bins());
+  paths_.push_back(record);
 }
 
 void ObservationStore::Shard::RecordIntraRack(NodeId target, int64_t sent, int64_t lost) {
@@ -112,7 +119,7 @@ void ObservationStore::InvalidateSlots(std::span<const PathId> slots) {
       ++slot_epoch_[static_cast<size_t>(slot)];
       running_[static_cast<size_t>(slot)] = PathObservation{};
       if (static_cast<size_t>(slot) < rtt_running_.size()) {
-        rtt_running_[static_cast<size_t>(slot)] = RttSketch{};
+        rtt_running_[static_cast<size_t>(slot)].Clear();
       }
       MarkDirty(static_cast<size_t>(slot));
     }
@@ -148,9 +155,9 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
     }
     running_[slot].sent += sign * record.sent;
     running_[slot].lost += sign * record.lost;
-    if (record.rtt >= 0) {
+    if (record.rtt_num_bins != 0) {
       EnsureRttRunning();
-      rtt_running_[slot].Merge(owner.rtt_[static_cast<size_t>(record.rtt)], sign);
+      rtt_running_[slot].MergeSparse(record.rtt_num_bins, owner.RttBins(record), sign);
     }
     MarkDirty(slot);
     MarkWatchdogFlipped(slot);
@@ -203,9 +210,9 @@ void ObservationStore::FoldNewRecords() {
           applied_down_.count(record.target) == 0) {
         running_[slot].sent += record.sent;
         running_[slot].lost += record.lost;
-        if (record.rtt >= 0) {
+        if (record.rtt_num_bins != 0) {
           EnsureRttRunning();
-          rtt_running_[slot].Merge(shard->rtt_[static_cast<size_t>(record.rtt)]);
+          rtt_running_[slot].MergeSparse(record.rtt_num_bins, shard->RttBins(record));
         }
         MarkDirty(slot);
       }
@@ -255,11 +262,11 @@ std::vector<RttSketch> ObservationStore::RttSnapshot(size_t num_slots,
     }
     for (const Shard::PathRecord& record : shard->paths_) {
       const size_t slot = static_cast<size_t>(record.slot);
-      if (record.rtt < 0 || slot >= num_slots || record.epoch != slot_epoch_[slot] ||
+      if (record.rtt_num_bins == 0 || slot >= num_slots || record.epoch != slot_epoch_[slot] ||
           !watchdog.IsHealthy(record.target)) {
         continue;
       }
-      out[slot].Merge(shard->rtt_[static_cast<size_t>(record.rtt)]);
+      out[slot].MergeSparse(record.rtt_num_bins, shard->RttBins(record));
     }
   }
   return out;
@@ -268,16 +275,7 @@ std::vector<RttSketch> ObservationStore::RttSnapshot(size_t num_slots,
 std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
     const Watchdog& watchdog) const {
   std::vector<IntraRackObservation> out;
-  for (const auto& shard : shards_) {
-    if (!watchdog.IsHealthy(shard->pinger_)) {
-      continue;
-    }
-    for (const IntraRackObservation& record : shard->intra_) {
-      if (watchdog.IsHealthy(record.target)) {
-        out.push_back(record);
-      }
-    }
-  }
+  ForEachIntraRack(watchdog, [&](const IntraRackObservation& record) { out.push_back(record); });
   return out;
 }
 
@@ -286,7 +284,9 @@ void ObservationStore::Clear() {
   shard_of_pinger_.clear();
   slot_epoch_.assign(slot_epoch_.size(), 0);
   running_.assign(running_.size(), PathObservation{});
-  rtt_running_.assign(rtt_running_.size(), RttSketch{});
+  for (RttSketch& sketch : rtt_running_) {
+    sketch.Clear();  // keeps each slot's bin storage for the next window
+  }
   applied_down_.clear();
   records_by_target_.clear();
   target_index_built_ = false;

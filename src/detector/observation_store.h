@@ -63,11 +63,14 @@ class ObservationStore {
     // plane's direct-mode write). The sketch rides on the same record, so epoch orphaning and
     // watchdog retract/re-add apply to the loss counters and the sketch together. Callers
     // skip paths with no samples (empty sketch) rather than recording an allocated-zero one.
+    // Only the sketch's non-zero bins are kept (in the shard's RTT arena), so the caller may
+    // reuse `sketch` as soon as this returns.
     void RecordPathWithRtt(PathId slot, NodeId target, int64_t sent, int64_t lost,
-                           RttSketch sketch);
+                           const RttSketch& sketch);
     // RTT-sketch-only record with an explicit epoch stamp — the report plane's fold path for
     // extension records, whose loss counters travel in a separate wire record.
-    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target, RttSketch sketch);
+    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target,
+                              const RttSketch& sketch);
     // Streams one intra-rack (server-link) observation.
     void RecordIntraRack(NodeId target, int64_t sent, int64_t lost);
 
@@ -77,19 +80,32 @@ class ObservationStore {
     friend class ObservationStore;
     Shard(const ObservationStore* store, NodeId pinger) : store_(store), pinger_(pinger) {}
 
+    // 40 bytes, no heap: a record's RTT sketch lives in the shard's rtt_bins_ arena as its
+    // non-zero (bin, count) pairs [rtt_offset, rtt_offset + rtt_len), next to the sketch's
+    // bin count (0 when the record carries no sketch — merging it is a no-op, like merging
+    // an empty sketch).
     struct PathRecord {
       PathId slot;
       NodeId target;
       int64_t sent;
       int64_t lost;
       uint32_t epoch;  // slot epoch at record time; stale when the slot was since invalidated
-      int32_t rtt = -1;  // index into the shard's rtt_ sketches, -1 when the record has none
+      uint32_t rtt_offset = 0;
+      uint16_t rtt_len = 0;
+      uint16_t rtt_num_bins = 0;
     };
+
+    // Appends the record, copying `sketch`'s non-zero bins into the arena.
+    void Append(PathRecord record, const RttSketch& sketch);
+    std::span<const RttBinCount> RttBins(const PathRecord& record) const {
+      return std::span<const RttBinCount>(rtt_bins_).subspan(record.rtt_offset,
+                                                             record.rtt_len);
+    }
 
     const ObservationStore* store_;
     NodeId pinger_;
     std::vector<PathRecord> paths_;
-    std::vector<RttSketch> rtt_;  // sketches referenced by PathRecord::rtt
+    std::vector<RttBinCount> rtt_bins_;  // RTT arena, referenced by PathRecord::rtt_offset
     std::vector<IntraRackObservation> intra_;
     // Records below this index are reflected in the store's running totals (under the filter
     // and epochs applied at fold time); records at/after it stream in between serial reads.
@@ -136,8 +152,22 @@ class ObservationStore {
   // sketches from every buffered record per call, under the same watchdog/epoch filter.
   std::vector<RttSketch> RttSnapshot(size_t num_slots, const Watchdog& watchdog) const;
 
-  // Buffered intra-rack records (shard open order, record order within a shard), minus records
-  // from or towards watchdog-flagged servers.
+  // Visits the buffered intra-rack records in place (shard open order, record order within a
+  // shard), minus records from or towards watchdog-flagged servers.
+  template <typename Visitor>
+  void ForEachIntraRack(const Watchdog& watchdog, Visitor&& visit) const {
+    for (const auto& shard : shards_) {
+      if (!watchdog.IsHealthy(shard->pinger_)) {
+        continue;
+      }
+      for (const IntraRackObservation& record : shard->intra_) {
+        if (watchdog.IsHealthy(record.target)) {
+          visit(record);
+        }
+      }
+    }
+  }
+  // The same records, copied out.
   std::vector<IntraRackObservation> IntraRackObservations(const Watchdog& watchdog) const;
 
   // Slots whose running totals changed since the previous TakeDirtySlots call — folded

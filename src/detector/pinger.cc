@@ -25,26 +25,28 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
                                  const Watchdog* watchdog, Sink&& sink) const {
   PingerTraffic traffic;
   int64_t eligible = 0;
-  for (const PinglistEntry& entry : pinglist_.entries) {
+  for (const PinglistEntry& entry : pinglist_->entries) {
     eligible += EntryEligible(entry, watchdog) ? 1 : 0;
   }
   if (eligible == 0) {
     return traffic;
   }
   const int64_t budget =
-      std::max<int64_t>(1, static_cast<int64_t>(pinglist_.packets_per_second * window_seconds));
+      std::max<int64_t>(1, static_cast<int64_t>(pinglist_->packets_per_second * window_seconds));
   const int64_t per_entry = std::max<int64_t>(1, budget / eligible);
   // When filtering skipped entries, their budget share is redistributed over the live ones;
   // the integer split truncates, so the remainder goes one extra packet at a time to the
   // first eligible entries in pinglist order. The assignment depends only on this pinglist's
   // own entry order — never on shard scheduling or thread count, which the 1/2/8-thread
   // bit-exactness oracle in tests/parallel_window_test.cc covers with filtering active.
-  const bool redistributing = eligible < static_cast<int64_t>(pinglist_.entries.size());
+  const bool redistributing = eligible < static_cast<int64_t>(pinglist_->entries.size());
   const int64_t extra_packets =
       redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
 
+  // One sketch for the whole run, zeroed after each entry hands it to the sink.
+  RttSketch rtt = engine.rtt_observation() ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
   int64_t eligible_index = 0;
-  for (const PinglistEntry& entry : pinglist_.entries) {
+  for (const PinglistEntry& entry : pinglist_->entries) {
     if (!EntryEligible(entry, watchdog)) {
       continue;
     }
@@ -52,23 +54,24 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     ++eligible_index;
     // Matrix entries sample RTTs when the engine observes them; intra-rack probes stay
     // loss-only (the anomaly plane runs over the probe matrix).
-    const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
-    RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
-    RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
-    PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
+    RttSketch* rtt_ptr = !rtt.empty() && entry.path_id >= 0 ? &rtt : nullptr;
+    PathObservation obs = engine.SimulatePath(entry.route, pinglist_->pinger,
                                               entry.target_server,
                                               static_cast<int>(packets), rng, rtt_ptr);
     if (obs.lost > 0 && confirm_packets_ > 0) {
       // Confirm the loss pattern with extra probes of the same content (§3.1).
       const PathObservation confirm = engine.SimulatePath(
-          entry.route, pinglist_.pinger, entry.target_server, confirm_packets_, rng, rtt_ptr);
+          entry.route, pinglist_->pinger, entry.target_server, confirm_packets_, rng, rtt_ptr);
       obs.sent += confirm.sent;
       obs.lost += confirm.lost;
     }
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
-    sink(entry.path_id, entry.target_server, obs.sent, obs.lost,
-         rtt.total() > 0 ? &rtt : nullptr);
+    const bool sampled = rtt.total() > 0;
+    sink(entry.path_id, entry.target_server, obs.sent, obs.lost, sampled ? &rtt : nullptr);
+    if (sampled) {
+      rtt.ZeroCounts();
+    }
   }
   return traffic;
 }
@@ -76,8 +79,8 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
 PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_seconds,
                                      Rng& rng, const Watchdog* watchdog) const {
   PingerWindowResult result;
-  result.pinger = pinglist_.pinger;
-  result.reports.reserve(pinglist_.entries.size());
+  result.pinger = pinglist_->pinger;
+  result.reports.reserve(pinglist_->entries.size());
   const PingerTraffic traffic = RunEntries(
       engine, window_seconds, rng, watchdog,
       [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
@@ -114,7 +117,7 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
                                     std::vector<PathReport>& out,
                                     const Watchdog* watchdog) const {
   PingerTraffic traffic;
-  const std::vector<PinglistEntry>& entries = pinglist_.entries;
+  const std::vector<PinglistEntry>& entries = pinglist_->entries;
   int64_t eligible = 0;
   for (const PinglistEntry& entry : entries) {
     eligible += EntryEligible(entry, watchdog) ? 1 : 0;
@@ -125,13 +128,14 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
   // Whole-list budget split, identical to RunEntries: per-entry packet counts depend only on
   // an entry's eligible rank, never on the range partition.
   const int64_t budget =
-      std::max<int64_t>(1, static_cast<int64_t>(pinglist_.packets_per_second * window_seconds));
+      std::max<int64_t>(1, static_cast<int64_t>(pinglist_->packets_per_second * window_seconds));
   const int64_t per_entry = std::max<int64_t>(1, budget / eligible);
   const bool redistributing = eligible < static_cast<int64_t>(entries.size());
   const int64_t extra_packets =
       redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
 
   end = std::min(end, entries.size());
+  RttSketch rtt = engine.rtt_observation() ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
   int64_t eligible_index = 0;
   for (size_t i = 0; i < std::min(begin, entries.size()); ++i) {
     eligible_index += EntryEligible(entries[i], watchdog) ? 1 : 0;
@@ -145,24 +149,26 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
     ++eligible_index;
     Rng entry_rng = ProbeEngine::ShardRng(
         window_seed,
-        HashCombine(static_cast<uint64_t>(pinglist_.pinger), static_cast<uint64_t>(i)));
-    const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
-    RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
-    RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
-    PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
+        HashCombine(static_cast<uint64_t>(pinglist_->pinger), static_cast<uint64_t>(i)));
+    RttSketch* rtt_ptr = !rtt.empty() && entry.path_id >= 0 ? &rtt : nullptr;
+    PathObservation obs = engine.SimulatePath(entry.route, pinglist_->pinger,
                                               entry.target_server,
                                               static_cast<int>(packets), entry_rng, rtt_ptr);
     if (obs.lost > 0 && confirm_packets_ > 0) {
       const PathObservation confirm =
-          engine.SimulatePath(entry.route, pinglist_.pinger, entry.target_server,
+          engine.SimulatePath(entry.route, pinglist_->pinger, entry.target_server,
                               confirm_packets_, entry_rng, rtt_ptr);
       obs.sent += confirm.sent;
       obs.lost += confirm.lost;
     }
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
+    const bool sampled = rtt.total() > 0;
     out.push_back(PathReport{entry.path_id, entry.target_server, obs.sent, obs.lost,
-                             rtt.total() > 0 ? std::move(rtt) : RttSketch{}});
+                             sampled ? rtt : RttSketch{}});
+    if (sampled) {
+      rtt.ZeroCounts();
+    }
   }
   return traffic;
 }

@@ -61,10 +61,14 @@ class ReportSink {
   }
 };
 
+// A Pinger is a view: it keeps a pointer to its pinglist and copies nothing, so building one
+// per shard per segment is free. The pinglist must outlive the Pinger; binding a
+// temporary is a compile error.
 class Pinger {
  public:
-  explicit Pinger(Pinglist pinglist, int confirm_packets = 2)
-      : pinglist_(std::move(pinglist)), confirm_packets_(confirm_packets) {}
+  explicit Pinger(const Pinglist& pinglist, int confirm_packets = 2)
+      : pinglist_(&pinglist), confirm_packets_(confirm_packets) {}
+  Pinger(const Pinglist&& pinglist, int confirm_packets = 2) = delete;
 
   // Executes one aggregation window: the packet budget (pps x seconds) is spread round-robin
   // over the pinglist entries. With a watchdog, intra-rack entries targeting flagged servers
@@ -105,16 +109,18 @@ class Pinger {
                               std::vector<PathReport>& out,
                               const Watchdog* watchdog = nullptr) const;
 
-  const Pinglist& pinglist() const { return pinglist_; }
+  const Pinglist& pinglist() const { return *pinglist_; }
 
  private:
   // Shared core: runs every eligible entry and hands (path_id, target, sent, lost, rtt) to
   // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty.
+  // One sketch serves the whole run (zeroed after each sink call), so the sink must copy
+  // what it keeps.
   template <typename Sink>
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
                            const Watchdog* watchdog, Sink&& sink) const;
 
-  Pinglist pinglist_;
+  const Pinglist* pinglist_;
   int confirm_packets_;
 };
 

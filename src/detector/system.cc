@@ -365,8 +365,10 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
                                 WindowResult& result) {
   ProbeEngine engine(topo_, OverlaidScenario(scenario), options_.probe);
   if (options_.anomaly) {
-    // RTT observation rides the same per-shard RNG streams; sampling draws happen after all
-    // loss draws, so the loss counters match an anomaly-off run draw for draw.
+    // RTT observation rides the same per-shard RNG streams. A path's sampling draws come
+    // after that path's loss draws, but they advance the shared per-pinger stream, so every
+    // later entry's loss draws shift: anomaly-on and anomaly-off are distinct (equally
+    // deterministic) trajectories.
     engine.AttachRttObservation(&latency_model_, {}, options_.rtt_samples_per_path,
                                 options_.rtt_bins);
   }
@@ -582,7 +584,7 @@ void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seco
   struct ListWork {
     const Pinglist* list;
     ObservationStore::Shard* shard;
-    std::unique_ptr<Pinger> pinger;
+    Pinger pinger;
     size_t first_task = 0;
     size_t num_tasks = 0;
   };
@@ -600,7 +602,7 @@ void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seco
       continue;
     }
     ListWork list_work{&list, &store.OpenShard(list.pinger),
-                       std::make_unique<Pinger>(list, options_.confirm_packets),
+                       Pinger(list, options_.confirm_packets),
                        tasks.size(), 0};
     const size_t n = list.entries.size();
     const size_t pieces = std::min(splits, n);
@@ -617,8 +619,8 @@ void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seco
     SubShard& task = tasks[i];
     const ListWork& list_work = lists[task.list_index];
     task.reports.reserve(task.end - task.begin);
-    task.traffic = list_work.pinger->RunEntryRange(engine, seconds, window_seed, task.begin,
-                                                   task.end, task.reports, &watchdog_);
+    task.traffic = list_work.pinger.RunEntryRange(engine, seconds, window_seed, task.begin,
+                                                  task.end, task.reports, &watchdog_);
   };
   const size_t configured = options_.probe_threads != 0
                                 ? options_.probe_threads

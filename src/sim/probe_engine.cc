@@ -127,8 +127,8 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
     obs.lost += timeouts;
   }
   if (rtt_model_ != nullptr && rtt != nullptr && obs.lost < obs.sent) {
-    // RTT samples draw from the same stream *after* every loss draw, so enabling observation
-    // never perturbs the loss trajectory of a run without it.
+    // RTT samples draw from the same stream after this path's loss draws: its counters are
+    // unaffected, but the draws advance the stream for every later path.
     double inflation = 0.0;
     if (failures_active_ && !inflation_us_.empty()) {
       for (LinkId link : links) {

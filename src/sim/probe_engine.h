@@ -61,10 +61,12 @@ class ProbeEngine {
 
   // Fast mode: `packets` probes between src/dst along the given links, spread evenly over the
   // port loop. Returns sent/lost. With RTT observation attached and `rtt` non-null, samples
-  // the RTT of up to rtt_samples_per_path() surviving probes into the sketch (drawn from the
-  // same `rng` stream, after the loss draws, so loss trajectories with observation disabled
-  // are untouched). Links under a kLatencyInflation failure add their extra delay to every
-  // sample — the gray-failure signal.
+  // the RTT of up to rtt_samples_per_path() surviving probes into the sketch. The samples are
+  // drawn from the same `rng` stream after this path's loss draws: this call's counters match
+  // a call without a sketch, but every later draw on the stream shifts, so a run with
+  // observation on is a distinct trajectory from one with it off. Links under a
+  // kLatencyInflation failure add their extra delay to every sample — the gray-failure
+  // signal.
   PathObservation SimulatePath(std::span<const LinkId> links, NodeId src, NodeId dst,
                                int packets, Rng& rng, RttSketch* rtt = nullptr) const;
 
