@@ -1,13 +1,14 @@
 // AnomalyEngine: the multi-signal anomaly plane's fusion stage. At every streaming diagnosis
-// boundary it diffs the store's running totals (loss counters and RTT sketches) against the
-// previous boundary, feeds the per-slot boundary deltas to adaptive EwmaBaselines (loss rate,
-// RTT p50, RTT p99 — no fixed thresholds), and counts consecutive excursion boundaries per
-// slot. A slot excursive for `horizon` consecutive boundaries is *flagged*; flagged paths are
-// converted into pseudo-observations (flagged = fully lossy, probed-and-clean = lossless) and
-// pushed through the existing PllLocalizer partition machinery, so a gray link that
-// delays-but-delivers is localized by the same minimum-hitting-set pipeline as a dropping
-// link — each alarm names the link, the signal that raised it (loss, latency, or both), and
-// how long the excursion has been sustained.
+// boundary it diffs the store's running loss totals against the previous boundary, reads the
+// boundary's RTT change from the store's sparse delta (ObservationStore::TakeRttDelta), feeds
+// the per-slot boundary deltas to adaptive EwmaBaselines (loss rate, RTT p50, RTT p99 — no
+// fixed thresholds), and counts consecutive excursion boundaries per slot. A slot excursive
+// for `horizon` consecutive boundaries is *flagged*; flagged paths are converted into
+// pseudo-observations (flagged = fully lossy, probed-and-clean = lossless) and pushed through
+// the existing PllLocalizer partition machinery, so a gray link that delays-but-delivers is
+// localized by the same minimum-hitting-set pipeline as a dropping link — each alarm names the
+// link, the signal that raised it (loss, latency, or both), and how long the excursion has
+// been sustained.
 //
 // Baselines persist across aggregation windows (BeginWindow only re-bases the totals, which
 // reset when the store clears) and fully reset on matrix structure changes (Reset), since a
@@ -62,9 +63,20 @@ class AnomalyEngine {
   // between windows) without touching the learned baselines or excursion runs.
   void BeginWindow();
 
-  // Consumes one boundary: totals/rtt_totals are the store's running views at this boundary
-  // (rtt_totals may be shorter than totals — missing slots carry no RTT). Returns the
-  // anomalies raised at this boundary (empty when no path is flagged).
+  // Consumes one boundary: `totals` is the store's running loss view at this boundary and
+  // `rtt_delta` the change of its running RTT sketches since the previous boundary (the
+  // store's TakeRttDelta). Slot s's RTT sketch now is its sketch at the previous boundary
+  // merged with the delta — from zero after BeginWindow (the store cleared) or Reset (the
+  // store re-based its log: RebaseRttDelta). Returns the anomalies raised at this boundary
+  // (empty when no path is flagged). Cost: O(totals + delta entries).
+  std::vector<LinkAnomaly> Observe(const ProbeMatrix& matrix, ObservationView totals,
+                                   const RttDelta& rtt_delta);
+
+  // The same boundary from dense running sketches (rtt_totals may be shorter than totals —
+  // missing slots carry no RTT): diffs them against a dense copy of the previous call's,
+  // allocated on first use, and observes that delta. For callers that hold dense sketches
+  // rather than a store; BeginWindow and Reset re-base the copy at zero. Do not mix with the
+  // delta overload on one engine.
   std::vector<LinkAnomaly> Observe(const ProbeMatrix& matrix, ObservationView totals,
                                    std::span<const RttSketch> rtt_totals);
 
@@ -73,8 +85,9 @@ class AnomalyEngine {
   void Reset();
 
   struct SlotState {
-    PathObservation prev;      // totals at the previous boundary
-    RttSketch prev_rtt;        // RTT totals at the previous boundary
+    PathObservation prev;       // totals at the previous boundary
+    int64_t prev_rtt_total = 0; // RTT sample total at the previous boundary
+    int32_t prev_rtt_bins = 0;  // its sketch's bin count (0 = empty)
     EwmaBaseline loss;
     EwmaBaseline p50;
     EwmaBaseline p99;
@@ -90,11 +103,31 @@ class AnomalyEngine {
  private:
   SlotState MakeSlotState() const;
 
+  // A slot's pending RTT change: its carry merged with this boundary's delta entry.
+  struct PendingRtt {
+    bool changed = false;   // the slot has a carry or delta entry
+    int32_t num_bins = 0;   // its sketch's bin count as of the latest entry (when changed)
+    std::span<const RttBinCount> pairs;  // valid until the next TakePending
+  };
+  // Consumes `slot`'s entries at the cursors d (into `delta`) and c (into carry_), which
+  // advance past them. Slots must be taken in ascending order.
+  PendingRtt TakePending(int32_t slot, const RttDelta& delta, size_t& d, size_t& c);
+
   AnomalyOptions options_;
   PllLocalizer pll_;
   std::vector<SlotState> slots_;
+  // RTT change not yet folded into a slot's previous-boundary state: a slot skipped because
+  // nothing was probed (its sample total did not move, though its bins may have), or one
+  // beyond `totals`, keeps its pairs here until a boundary consumes them. Same CSR layout as
+  // the store's delta; its bin counts are the sketches' as of the latest delta.
+  RttDelta carry_;
+  RttDelta next_carry_;
+  std::vector<RttBinCount> merged_;  // reused: one slot's carry merged with its delta
   std::vector<LinkAnomaly> current_;
   Observations pseudo_;  // scratch for the pseudo-observation vector
+  // Dense-overload state: the previous call's sketches and the delta diffed from them.
+  std::vector<RttSketch> dense_prev_;
+  RttDelta dense_delta_;
 };
 
 }  // namespace detector

@@ -17,9 +17,11 @@
 // and report-plane folds bit-identical.
 //
 // Sparse form: a sketch's non-zero bins as (bin, count) pairs plus its bin
-// count. The ObservationStore keeps every probe record's sketch this way (one
-// record usually holds a single sample), and MergeSparse folds the pairs into a
-// dense sketch under exactly Merge's rules.
+// count. A probe run records each path's samples this way (RttSamples), the
+// ObservationStore keeps every record's sketch this way (one record usually
+// holds a single sample), MergeSparse folds the pairs into a dense sketch under
+// exactly Merge's rules, and a boundary's per-slot change travels as signed pairs
+// (RttDelta) whose quantiles SparseQuantile reads.
 #ifndef SRC_ANOMALY_RTT_SKETCH_H_
 #define SRC_ANOMALY_RTT_SKETCH_H_
 
@@ -38,6 +40,8 @@ namespace detector {
 struct RttBinCount {
   int32_t bin = 0;
   int64_t count = 0;
+
+  bool operator==(const RttBinCount&) const = default;
 };
 
 class RttSketch {
@@ -116,15 +120,7 @@ class RttSketch {
     CancelToEmpty();
   }
 
-  // Appends the non-zero bins, in bin order, to `out` (the sparse form; pair it
-  // with num_bins()).
-  void AppendNonZero(std::vector<RttBinCount>& out) const {
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      if (counts_[i] != 0) out.push_back(RttBinCount{static_cast<int32_t>(i), counts_[i]});
-    }
-  }
-
-  // Raw count accumulation for wire decode.
+  // Raw count accumulation: adds `count` samples to one bin.
   void AddCount(int bin, int64_t count) {
     DCHECK(bin >= 0 && bin < num_bins());
     counts_[static_cast<size_t>(bin)] += count;
@@ -135,26 +131,15 @@ class RttSketch {
   // true quantile lies in [result, BinUpperUs(bin)). Returns 0 when empty.
   int64_t Quantile(double q) const;
 
-  // Quantile(q) of the difference sketch `minuend` minus `subtrahend` (what
-  // copying minuend and merging subtrahend with sign -1 would hold), computed
-  // without building it. CHECKs like that Merge on mismatched bin counts.
-  static int64_t DifferenceQuantile(const RttSketch& minuend, const RttSketch& subtrahend,
-                                    double q);
-
-  // Whether Merge(b) into a (or the reverse) passes the bin-count CHECK.
-  static bool Mergeable(const RttSketch& a, const RttSketch& b) {
-    return a.empty() || b.empty() || a.num_bins() == b.num_bins();
-  }
+  // Quantile(q) of the signed sketch whose sparse form is (num_bins, bins) and whose counts sum
+  // to `total` — what Quantile would return on that sketch materialized. `bins` must be in
+  // ascending bin order, each bin at most once. Returns 0 when total <= 0.
+  static int64_t SparseQuantile(int64_t total, int num_bins, std::span<const RttBinCount> bins,
+                                double q);
 
   // Empties the sketch; the bin storage keeps its capacity for reuse.
   void Clear() {
     counts_.clear();
-    total_ = 0;
-  }
-
-  // Zeroes every count but keeps the bin count: a recorder reused across paths.
-  void ZeroCounts() {
-    std::fill(counts_.begin(), counts_.end(), 0);
     total_ = 0;
   }
 
@@ -182,6 +167,76 @@ class RttSketch {
 
   std::vector<int64_t> counts_;
   int64_t total_ = 0;
+};
+
+// One path's RTT samples as bin-sorted (bin, count) pairs: the recorder a probe run fills per
+// pinglist entry. Recording costs O(distinct bins), not O(num_bins), and one buffer serves a
+// whole run (Clear keeps its capacity).
+class RttSamples {
+ public:
+  explicit RttSamples(int num_bins) : num_bins_(num_bins) {
+    CHECK(num_bins >= RttSketch::kSubBins && num_bins <= RttSketch::kMaxBins)
+        << "rtt sketch bins out of range: " << num_bins;
+  }
+
+  void Record(int64_t rtt_us) {
+    const int32_t bin = RttSketch::BinOf(rtt_us, num_bins_);
+    auto it = std::lower_bound(bins_.begin(), bins_.end(), bin,
+                               [](const RttBinCount& e, int32_t b) { return e.bin < b; });
+    if (it != bins_.end() && it->bin == bin) {
+      ++it->count;
+    } else {
+      bins_.insert(it, RttBinCount{bin, 1});
+    }
+  }
+
+  int num_bins() const { return num_bins_; }
+  bool empty() const { return bins_.empty(); }
+  std::span<const RttBinCount> bins() const { return bins_; }
+  // The samples as a dense sketch (empty when nothing was recorded).
+  RttSketch ToSketch() const {
+    RttSketch sketch;
+    sketch.MergeSparse(empty() ? 0 : num_bins_, bins_);
+    return sketch;
+  }
+  void Clear() { bins_.clear(); }
+
+ private:
+  int num_bins_;
+  std::vector<RttBinCount> bins_;
+};
+
+// A boundary's per-slot RTT change in CSR form: what the slots' sketches gained (positive
+// counts) and lost (negative counts) since the previous boundary. Slot i of the delta is
+// slots[i]; its signed pairs are bins[offsets[i], offsets[i + 1]), in ascending bin order with
+// each bin at most once and no zero count; num_bins[i] is the slot's sketch bin count after
+// the change (0 = the sketch is now empty). Slots are ascending and distinct. A slot may carry
+// no pairs (its changes cancelled) — its bin count is still current.
+struct RttDelta {
+  std::vector<int32_t> slots;  // slot ids (PathId)
+  std::vector<int32_t> num_bins;
+  std::vector<uint32_t> offsets = {0};
+  std::vector<RttBinCount> bins;
+
+  size_t size() const { return slots.size(); }
+  std::span<const RttBinCount> Bins(size_t i) const {
+    return std::span<const RttBinCount>(bins).subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  // Appends a slot (above every slot already present) with its already-normalized pairs.
+  void Append(int32_t slot, int32_t slot_bins, std::span<const RttBinCount> pairs) {
+    DCHECK(slots.empty() || slot > slots.back());
+    slots.push_back(slot);
+    num_bins.push_back(slot_bins);
+    bins.insert(bins.end(), pairs.begin(), pairs.end());
+    offsets.push_back(static_cast<uint32_t>(bins.size()));
+  }
+  // Empties the delta; storage keeps its capacity.
+  void Clear() {
+    slots.clear();
+    num_bins.clear();
+    offsets.assign(1, 0);
+    bins.clear();
+  }
 };
 
 }  // namespace detector

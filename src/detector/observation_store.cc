@@ -18,28 +18,32 @@ void ObservationStore::Shard::RecordPathAtEpoch(PathId slot, uint32_t epoch, Nod
 }
 
 void ObservationStore::Shard::RecordPathWithRtt(PathId slot, NodeId target, int64_t sent,
-                                                int64_t lost, const RttSketch& sketch) {
+                                                int64_t lost, int num_bins,
+                                                std::span<const RttBinCount> bins) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
-  DCHECK(!sketch.empty()) << "record RTT-less paths via RecordPath";
   Append(PathRecord{slot, target, sent, lost, store_->slot_epoch_[static_cast<size_t>(slot)]},
-         sketch);
+         num_bins, bins);
 }
 
 void ObservationStore::Shard::RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target,
-                                                   const RttSketch& sketch) {
+                                                   int num_bins,
+                                                   std::span<const RttBinCount> bins) {
   DCHECK(slot >= 0 && static_cast<size_t>(slot) < store_->slot_epoch_.size());
-  DCHECK(!sketch.empty());
-  Append(PathRecord{slot, target, 0, 0, epoch}, sketch);
+  Append(PathRecord{slot, target, 0, 0, epoch}, num_bins, bins);
 }
 
-void ObservationStore::Shard::Append(PathRecord record, const RttSketch& sketch) {
+void ObservationStore::Shard::Append(PathRecord record, int num_bins,
+                                     std::span<const RttBinCount> bins) {
   static_assert(RttSketch::kMaxBins <= UINT16_MAX, "bin counts must fit PathRecord");
+  DCHECK(num_bins >= RttSketch::kSubBins && num_bins <= RttSketch::kMaxBins)
+      << "record RTT-less paths via RecordPath";
+  DCHECK(bins.size() <= static_cast<size_t>(num_bins));
   CHECK(rtt_bins_.size() <= UINT32_MAX - static_cast<size_t>(RttSketch::kMaxBins))
       << "RTT arena offset overflow";
   record.rtt_offset = static_cast<uint32_t>(rtt_bins_.size());
-  sketch.AppendNonZero(rtt_bins_);
-  record.rtt_len = static_cast<uint16_t>(rtt_bins_.size() - record.rtt_offset);
-  record.rtt_num_bins = static_cast<uint16_t>(sketch.num_bins());
+  rtt_bins_.insert(rtt_bins_.end(), bins.begin(), bins.end());
+  record.rtt_len = static_cast<uint16_t>(bins.size());
+  record.rtt_num_bins = static_cast<uint16_t>(num_bins);
   paths_.push_back(record);
 }
 
@@ -66,6 +70,15 @@ void ObservationStore::EnsureSlots(size_t num_slots) {
 void ObservationStore::EnsureRttRunning() {
   if (rtt_running_.empty()) {
     rtt_running_.resize(slot_epoch_.size());
+  }
+}
+
+void ObservationStore::MergeRtt(size_t slot, int num_bins, std::span<const RttBinCount> bins,
+                                int64_t sign) {
+  EnsureRttRunning();
+  rtt_running_[slot].MergeSparse(num_bins, bins, sign);
+  for (const RttBinCount& entry : bins) {
+    rtt_log_.push_back(RttLogEntry{static_cast<int32_t>(slot), entry.bin, sign * entry.count});
   }
 }
 
@@ -105,7 +118,17 @@ ObservationStore::DirtySlots ObservationStore::TakeDirtySlots() {
 ObservationStore::Shard& ObservationStore::OpenShard(NodeId pinger) {
   auto [it, inserted] = shard_of_pinger_.try_emplace(pinger, shards_.size());
   if (inserted) {
-    shards_.emplace_back(new Shard(this, pinger));
+    auto spare = spare_shards_.find(pinger);
+    if (spare == spare_shards_.end()) {
+      spare = spare_shards_.begin();  // a pinger new this window takes any spare
+    }
+    if (spare == spare_shards_.end()) {
+      shards_.emplace_back(new Shard(this, pinger));
+    } else {
+      shards_.push_back(std::move(spare->second));
+      spare_shards_.erase(spare);
+      shards_.back()->pinger_ = pinger;
+    }
   }
   return *shards_[it->second];
 }
@@ -119,7 +142,14 @@ void ObservationStore::InvalidateSlots(std::span<const PathId> slots) {
       ++slot_epoch_[static_cast<size_t>(slot)];
       running_[static_cast<size_t>(slot)] = PathObservation{};
       if (static_cast<size_t>(slot) < rtt_running_.size()) {
-        rtt_running_[static_cast<size_t>(slot)].Clear();
+        RttSketch& rtt = rtt_running_[static_cast<size_t>(slot)];
+        const std::span<const int64_t> counts = rtt.counts();
+        for (size_t bin = 0; bin < counts.size(); ++bin) {
+          if (counts[bin] != 0) {
+            rtt_log_.push_back(RttLogEntry{slot, static_cast<int32_t>(bin), -counts[bin]});
+          }
+        }
+        rtt.Clear();
       }
       MarkDirty(static_cast<size_t>(slot));
     }
@@ -156,8 +186,7 @@ void ObservationStore::AdjustForNode(NodeId node, int sign) {
     running_[slot].sent += sign * record.sent;
     running_[slot].lost += sign * record.lost;
     if (record.rtt_num_bins != 0) {
-      EnsureRttRunning();
-      rtt_running_[slot].MergeSparse(record.rtt_num_bins, owner.RttBins(record), sign);
+      MergeRtt(slot, record.rtt_num_bins, owner.RttBins(record), sign);
     }
     MarkDirty(slot);
     MarkWatchdogFlipped(slot);
@@ -211,8 +240,7 @@ void ObservationStore::FoldNewRecords() {
         running_[slot].sent += record.sent;
         running_[slot].lost += record.lost;
         if (record.rtt_num_bins != 0) {
-          EnsureRttRunning();
-          rtt_running_[slot].MergeSparse(record.rtt_num_bins, shard->RttBins(record));
+          MergeRtt(slot, record.rtt_num_bins, shard->RttBins(record), 1);
         }
         MarkDirty(slot);
       }
@@ -272,6 +300,88 @@ std::vector<RttSketch> ObservationStore::RttSnapshot(size_t num_slots,
   return out;
 }
 
+const RttDelta& ObservationStore::TakeRttDelta() {
+  rtt_delta_.Clear();
+  if (rtt_log_.empty()) {
+    return rtt_delta_;
+  }
+  // Counting sort by slot (stable): count, prefix-sum into group starts, scatter — after the
+  // scatter rtt_group_end_[s] is one past slot s's last entry.
+  const size_t num_slots = rtt_running_.size();
+  rtt_group_end_.assign(num_slots, 0);
+  for (const RttLogEntry& entry : rtt_log_) {
+    ++rtt_group_end_[static_cast<size_t>(entry.slot)];
+  }
+  uint32_t start = 0;
+  for (uint32_t& slot_end : rtt_group_end_) {
+    const uint32_t count = slot_end;
+    slot_end = start;
+    start += count;
+  }
+  rtt_grouped_.resize(rtt_log_.size());
+  for (const RttLogEntry& entry : rtt_log_) {
+    rtt_grouped_[rtt_group_end_[static_cast<size_t>(entry.slot)]++] =
+        RttBinCount{entry.bin, entry.count};
+  }
+  rtt_log_.clear();
+  uint32_t begin = 0;
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    const uint32_t end = rtt_group_end_[slot];
+    if (end == begin) {
+      continue;
+    }
+    // Normalize the slot's group in place: bins ascending, equal bins summed, zeros dropped.
+    const auto first = rtt_grouped_.begin() + begin;
+    const auto last = rtt_grouped_.begin() + end;
+    for (auto it = first + 1; it < last; ++it) {  // insertion sort: groups are tiny
+      const RttBinCount entry = *it;
+      auto hole = it;
+      for (; hole != first && (hole - 1)->bin > entry.bin; --hole) {
+        *hole = *(hole - 1);
+      }
+      *hole = entry;
+    }
+    auto out = first;
+    for (auto it = first; it != last;) {
+      RttBinCount sum{it->bin, 0};
+      for (; it != last && it->bin == sum.bin; ++it) {
+        sum.count += it->count;
+      }
+      if (sum.count != 0) {
+        *out++ = sum;
+      }
+    }
+    rtt_delta_.Append(static_cast<int32_t>(slot), rtt_running_[slot].num_bins(),
+                      std::span<const RttBinCount>(&*first, static_cast<size_t>(out - first)));
+    begin = end;
+  }
+  return rtt_delta_;
+}
+
+void ObservationStore::RebaseRttDelta() {
+  rtt_log_.clear();
+  for (size_t slot = 0; slot < rtt_running_.size(); ++slot) {
+    const std::span<const int64_t> counts = rtt_running_[slot].counts();
+    for (size_t bin = 0; bin < counts.size(); ++bin) {
+      if (counts[bin] != 0) {
+        rtt_log_.push_back(
+            RttLogEntry{static_cast<int32_t>(slot), static_cast<int32_t>(bin), counts[bin]});
+      }
+    }
+  }
+}
+
+void ObservationStore::SwapRttRunningTotals(std::vector<RttSketch>& out) {
+  rtt_running_.swap(out);
+  if (!rtt_running_.empty()) {
+    for (RttSketch& sketch : rtt_running_) {
+      sketch.Clear();
+    }
+    rtt_running_.resize(slot_epoch_.size());
+  }
+  rtt_log_.clear();
+}
+
 std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
     const Watchdog& watchdog) const {
   std::vector<IntraRackObservation> out;
@@ -280,6 +390,13 @@ std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
 }
 
 void ObservationStore::Clear() {
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    shard->paths_.clear();
+    shard->rtt_bins_.clear();
+    shard->intra_.clear();
+    shard->folded_ = 0;
+    spare_shards_[shard->pinger_] = std::move(shard);
+  }
   shards_.clear();
   shard_of_pinger_.clear();
   slot_epoch_.assign(slot_epoch_.size(), 0);
@@ -287,6 +404,7 @@ void ObservationStore::Clear() {
   for (RttSketch& sketch : rtt_running_) {
     sketch.Clear();  // keeps each slot's bin storage for the next window
   }
+  rtt_log_.clear();
   applied_down_.clear();
   records_by_target_.clear();
   target_index_built_ = false;

@@ -59,18 +59,19 @@ class ObservationStore {
     // before the invalidation would have.
     void RecordPathAtEpoch(PathId slot, uint32_t epoch, NodeId target, int64_t sent,
                            int64_t lost);
-    // Streams one observation that also carries the path's RTT sample sketch (the anomaly
-    // plane's direct-mode write). The sketch rides on the same record, so epoch orphaning and
-    // watchdog retract/re-add apply to the loss counters and the sketch together. Callers
-    // skip paths with no samples (empty sketch) rather than recording an allocated-zero one.
-    // Only the sketch's non-zero bins are kept (in the shard's RTT arena), so the caller may
-    // reuse `sketch` as soon as this returns.
+    // Streams one observation that also carries the path's RTT sample sketch in sparse form
+    // (the anomaly plane's direct-mode write): `num_bins` is the sketch's bin count and
+    // `bins` its non-zero bins, ascending. The sketch rides on the same record, so epoch
+    // orphaning and watchdog retract/re-add apply to the loss counters and the sketch
+    // together. Callers skip paths with no samples rather than recording an empty sketch.
+    // The pairs are copied into the shard's RTT arena, so the caller may reuse `bins` as soon
+    // as this returns.
     void RecordPathWithRtt(PathId slot, NodeId target, int64_t sent, int64_t lost,
-                           const RttSketch& sketch);
+                           int num_bins, std::span<const RttBinCount> bins);
     // RTT-sketch-only record with an explicit epoch stamp — the report plane's fold path for
     // extension records, whose loss counters travel in a separate wire record.
-    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target,
-                              const RttSketch& sketch);
+    void RecordPathRttAtEpoch(PathId slot, uint32_t epoch, NodeId target, int num_bins,
+                              std::span<const RttBinCount> bins);
     // Streams one intra-rack (server-link) observation.
     void RecordIntraRack(NodeId target, int64_t sent, int64_t lost);
 
@@ -95,8 +96,8 @@ class ObservationStore {
       uint16_t rtt_num_bins = 0;
     };
 
-    // Appends the record, copying `sketch`'s non-zero bins into the arena.
-    void Append(PathRecord record, const RttSketch& sketch);
+    // Appends the record, copying the sketch's sparse form into the arena.
+    void Append(PathRecord record, int num_bins, std::span<const RttBinCount> bins);
     std::span<const RttBinCount> RttBins(const PathRecord& record) const {
       return std::span<const RttBinCount>(rtt_bins_).subspan(record.rtt_offset,
                                                              record.rtt_len);
@@ -152,6 +153,27 @@ class ObservationStore {
   // sketches from every buffered record per call, under the same watchdog/epoch filter.
   std::vector<RttSketch> RttSnapshot(size_t num_slots, const Watchdog& watchdog) const;
 
+  // The change of the running RTT sketches since the previous take, grouped by slot: every
+  // change to them — a record folding, a watchdog retract or re-add, a slot invalidation —
+  // also appends its signed (slot, bin, count) entries to a log, and this groups the log
+  // (counting sort by slot; per slot, equal bins summed and zero sums dropped, bins
+  // ascending, the running sketch's bin count attached) and empties it. For every slot,
+  // merging the delta into the running sketch as of the previous take yields the running
+  // sketch now. Loss-only records never touch the log. Serial phase only; the returned
+  // delta is valid until the next TakeRttDelta, RebaseRttDelta or Clear.
+  const RttDelta& TakeRttDelta();
+
+  // Re-bases the log on zero: drops what it holds and logs every running sketch in full, so
+  // the next TakeRttDelta returns the running sketches themselves — what a consumer that
+  // dropped its per-slot state (AnomalyEngine::Reset) diffs against. Serial phase only.
+  void RebaseRttDelta();
+
+  // Window-end hand-off of the running RTT sketches without a copy: swaps them into `out`
+  // and takes `out`'s previous sketches as the store's own, cleared in place (their storage
+  // is reused next window) and sized to the slot table. The store's running sketches then
+  // read empty until Clear(), which is the only call that should follow.
+  void SwapRttRunningTotals(std::vector<RttSketch>& out);
+
   // Visits the buffered intra-rack records in place (shard open order, record order within a
   // shard), minus records from or towards watchdog-flagged servers.
   template <typename Visitor>
@@ -189,6 +211,7 @@ class ObservationStore {
   DirtySlots TakeDirtySlots();
 
   // Drops every shard and resets all epochs and running totals (end of an aggregation window).
+  // The dropped shards' record buffers keep their capacity for the next window's OpenShard.
   void Clear();
 
   size_t num_slots() const { return slot_epoch_.size(); }
@@ -214,6 +237,9 @@ class ObservationStore {
   void FoldNewRecords();
 
   std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses, creation order
+  // Shards emptied by Clear, by pinger: OpenShard hands a pinger its own back, so each
+  // buffer's capacity fits the pinglist that filled it.
+  std::map<NodeId, std::unique_ptr<Shard>> spare_shards_;
   std::map<NodeId, size_t> shard_of_pinger_;    // ordered: snapshot order independent of churn
   std::vector<uint32_t> slot_epoch_;
   mutable Observations snapshot_;  // lazily materialized merged view (Snapshot path)
@@ -224,6 +250,19 @@ class ObservationStore {
   std::vector<RttSketch> rtt_running_;
   // Sizes rtt_running_ to the slot table on the first sketch-carrying fold/adjust.
   void EnsureRttRunning();
+  // Merges a record's sketch into its slot's running sketch with `sign` and logs the change.
+  void MergeRtt(size_t slot, int num_bins, std::span<const RttBinCount> bins, int64_t sign);
+  // RTT delta log: one signed entry per bin change of a running sketch since the last take.
+  struct RttLogEntry {
+    int32_t slot;
+    int32_t bin;
+    int64_t count;
+  };
+  std::vector<RttLogEntry> rtt_log_;
+  // TakeRttDelta's output and working buffers, kept for their capacity.
+  RttDelta rtt_delta_;
+  std::vector<uint32_t> rtt_group_end_;
+  std::vector<RttBinCount> rtt_grouped_;
   std::set<NodeId> applied_down_;  // watchdog filter currently reflected in running_
   // Folded records by target server, as (shard, record index) — a watchdog flip of a target
   // retracts/re-adds only that node's records instead of scanning every shard. Built lazily

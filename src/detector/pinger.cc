@@ -1,6 +1,7 @@
 #include "src/detector/pinger.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace detector {
 
@@ -43,8 +44,11 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
   const int64_t extra_packets =
       redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
 
-  // One sketch for the whole run, zeroed after each entry hands it to the sink.
-  RttSketch rtt = engine.rtt_observation() ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
+  // One sample buffer for the whole run, cleared after each entry hands it to the sink.
+  std::optional<RttSamples> rtt;
+  if (engine.rtt_observation()) {
+    rtt.emplace(engine.rtt_sketch_bins());
+  }
   int64_t eligible_index = 0;
   for (const PinglistEntry& entry : pinglist_->entries) {
     if (!EntryEligible(entry, watchdog)) {
@@ -54,7 +58,7 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     ++eligible_index;
     // Matrix entries sample RTTs when the engine observes them; intra-rack probes stay
     // loss-only (the anomaly plane runs over the probe matrix).
-    RttSketch* rtt_ptr = !rtt.empty() && entry.path_id >= 0 ? &rtt : nullptr;
+    RttSamples* rtt_ptr = rtt && entry.path_id >= 0 ? &*rtt : nullptr;
     PathObservation obs = engine.SimulatePath(entry.route, pinglist_->pinger,
                                               entry.target_server,
                                               static_cast<int>(packets), rng, rtt_ptr);
@@ -67,10 +71,10 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     }
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
-    const bool sampled = rtt.total() > 0;
-    sink(entry.path_id, entry.target_server, obs.sent, obs.lost, sampled ? &rtt : nullptr);
+    const bool sampled = rtt && !rtt->empty();
+    sink(entry.path_id, entry.target_server, obs.sent, obs.lost, sampled ? &*rtt : nullptr);
     if (sampled) {
-      rtt.ZeroCounts();
+      rtt->Clear();
     }
   }
   return traffic;
@@ -83,9 +87,9 @@ PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_se
   result.reports.reserve(pinglist_->entries.size());
   const PingerTraffic traffic = RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
-        result.reports.push_back(
-            PathReport{path_id, target, sent, lost, rtt != nullptr ? *rtt : RttSketch{}});
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSamples* rtt) {
+        result.reports.push_back(PathReport{path_id, target, sent, lost,
+                                            rtt != nullptr ? rtt->ToSketch() : RttSketch{}});
       });
   result.probes_sent = traffic.probes_sent;
   result.bytes_sent = traffic.bytes_sent;
@@ -97,14 +101,14 @@ PingerTraffic Pinger::RunWindowInto(const ProbeEngine& engine, double window_sec
                                     const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSamples* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           shard.RecordIntraRack(target, sent, lost);
         } else if (path_id >= 0) {
           // Other negative ids (a corrupt wire pinglist) are dropped, matching
           // Diagnoser::Ingest.
           if (rtt != nullptr) {
-            shard.RecordPathWithRtt(path_id, target, sent, lost, *rtt);
+            shard.RecordPathWithRtt(path_id, target, sent, lost, rtt->num_bins(), rtt->bins());
           } else {
             shard.RecordPath(path_id, target, sent, lost);
           }
@@ -135,7 +139,10 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
       redistributing ? std::max<int64_t>(0, budget - per_entry * eligible) : 0;
 
   end = std::min(end, entries.size());
-  RttSketch rtt = engine.rtt_observation() ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
+  std::optional<RttSamples> rtt;
+  if (engine.rtt_observation()) {
+    rtt.emplace(engine.rtt_sketch_bins());
+  }
   int64_t eligible_index = 0;
   for (size_t i = 0; i < std::min(begin, entries.size()); ++i) {
     eligible_index += EntryEligible(entries[i], watchdog) ? 1 : 0;
@@ -150,7 +157,7 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
     Rng entry_rng = ProbeEngine::ShardRng(
         window_seed,
         HashCombine(static_cast<uint64_t>(pinglist_->pinger), static_cast<uint64_t>(i)));
-    RttSketch* rtt_ptr = !rtt.empty() && entry.path_id >= 0 ? &rtt : nullptr;
+    RttSamples* rtt_ptr = rtt && entry.path_id >= 0 ? &*rtt : nullptr;
     PathObservation obs = engine.SimulatePath(entry.route, pinglist_->pinger,
                                               entry.target_server,
                                               static_cast<int>(packets), entry_rng, rtt_ptr);
@@ -163,11 +170,11 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
     }
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
-    const bool sampled = rtt.total() > 0;
+    const bool sampled = rtt && !rtt->empty();
     out.push_back(PathReport{entry.path_id, entry.target_server, obs.sent, obs.lost,
-                             sampled ? rtt : RttSketch{}});
+                             sampled ? rtt->ToSketch() : RttSketch{}});
     if (sampled) {
-      rtt.ZeroCounts();
+      rtt->Clear();
     }
   }
   return traffic;
@@ -177,13 +184,13 @@ PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_secon
                                   ReportSink& sink, const Watchdog* watchdog) const {
   return RunEntries(
       engine, window_seconds, rng, watchdog,
-      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSketch* rtt) {
+      [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, const RttSamples* rtt) {
         if (path_id == PinglistEntry::kIntraRackPath) {
           sink.OnIntraRack(target, sent, lost);
         } else if (path_id >= 0) {
           sink.OnPath(path_id, target, sent, lost);
           if (rtt != nullptr) {
-            sink.OnPathRtt(path_id, target, *rtt);
+            sink.OnPathRtt(path_id, target, rtt->num_bins(), rtt->bins());
           }
         }
       });

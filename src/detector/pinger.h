@@ -9,6 +9,7 @@
 #ifndef SRC_DETECTOR_PINGER_H_
 #define SRC_DETECTOR_PINGER_H_
 
+#include <span>
 #include <vector>
 
 #include "src/detector/observation_store.h"
@@ -51,13 +52,16 @@ class ReportSink {
   virtual ~ReportSink() = default;
   virtual void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) = 0;
   virtual void OnIntraRack(NodeId target, int64_t sent, int64_t lost) = 0;
-  // RTT sample sketch of the path reported by the immediately preceding OnPath call, delivered
-  // only when RTT observation is enabled and the sketch is non-empty. Default: discard — a
-  // sink predating the anomaly plane keeps working on loss records alone.
-  virtual void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) {
+  // RTT samples of the path reported by the immediately preceding OnPath call, in sparse form
+  // (the sketch's bin count and its non-zero bins, ascending), delivered only when RTT
+  // observation is enabled and the path has samples. `bins` is valid for the call only.
+  // Default: discard — a sink predating the anomaly plane keeps working on loss records alone.
+  virtual void OnPathRtt(PathId slot, NodeId target, int num_bins,
+                         std::span<const RttBinCount> bins) {
     (void)slot;
     (void)target;
-    (void)sketch;
+    (void)num_bins;
+    (void)bins;
   }
 };
 
@@ -113,9 +117,9 @@ class Pinger {
 
  private:
   // Shared core: runs every eligible entry and hands (path_id, target, sent, lost, rtt) to
-  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty.
-  // One sketch serves the whole run (zeroed after each sink call), so the sink must copy
-  // what it keeps.
+  // `sink`; rtt is null unless the engine samples RTTs and the entry has samples. One sample
+  // buffer serves the whole run (cleared after each sink call), so the sink must copy what it
+  // keeps.
   template <typename Sink>
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
                            const Watchdog* watchdog, Sink&& sink) const;

@@ -87,6 +87,7 @@ void DetectorSystem::PrepareReportFabric() {
   group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
   group_options.collector.key = options_.report_key;
   group_options.collector.liveness_horizon = options_.report_liveness_horizon;
+  group_options.collector.rtt_bins = options_.rtt_bins;
   const bool hardening_changed = applied_report_key_ != options_.report_key ||
                                  applied_liveness_horizon_ != options_.report_liveness_horizon;
   applied_report_key_ = options_.report_key;
@@ -141,6 +142,12 @@ void DetectorSystem::EnforceVersionFloors(std::vector<PinglistDiff>& diffs) {
   }
 }
 
+void DetectorSystem::ResetAnomalyEngine() {
+  anomaly_engine_.Reset();
+  // The engine's next RTT delta must be relative to zero, as its fresh slot state is.
+  diagnoser_.store().RebaseRttDelta();
+}
+
 void DetectorSystem::RecomputeCycle() {
   if (incremental_ != nullptr) {
     pmc_stats_ = incremental_->FullResolve();
@@ -148,7 +155,7 @@ void DetectorSystem::RecomputeCycle() {
     // The rebuilt matrix rewires slots; the diagnoser's cached PLL partition is stale, and so
     // is every per-slot anomaly baseline (slot identities do not survive a rebuild).
     diagnoser_.InvalidateLocalizeCache();
-    anomaly_engine_.Reset();
+    ResetAnomalyEngine();
   }
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
@@ -226,7 +233,7 @@ DetectorSystem::ChurnApplyResult DetectorSystem::ApplyTopologyDelta(const Topolo
       // cached PLL partition cannot detect the change itself — drop it explicitly, along with
       // the anomaly baselines keyed to the old slot identities.
       diagnoser_.InvalidateLocalizeCache();
-      anomaly_engine_.Reset();
+      ResetAnomalyEngine();
     }
   } else {
     // Fixed-matrix mode: no candidate set to repair from. Entries on dead links are withdrawn
@@ -828,11 +835,10 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
         diagnosis.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
         if (options_.anomaly) {
           // The boundary diagnosis already folded pending records; RunningTotals here is the
-          // same serial point it read, and the RTT sketches folded alongside it.
+          // same serial point it read, and the RTT delta logged alongside it.
           ObservationStore& store = diagnoser_.store();
           const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-          diagnosis.anomalies =
-              anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
+          diagnosis.anomalies = anomaly_engine_.Observe(matrix_, totals, store.TakeRttDelta());
         }
         if (history) {
           // RunningTotals here is idempotent — the boundary diagnosis already folded pending
@@ -859,12 +865,12 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
   if (options_.anomaly) {
     // Window-end anomaly boundary: observed before Diagnose() consumes the store, like the
     // history cut below. The merged RTT sketches are captured here too — the bit-identity
-    // surface the thread-count and report-vs-direct gates compare.
+    // surface the thread-count and report-vs-direct gates compare — by swapping them out of
+    // the store, which clears the previous window's in place for reuse.
     ObservationStore& store = diagnoser_.store();
     const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-    result.anomalies = anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
-    const std::span<const RttSketch> rtt = store.RttRunningTotals();
-    last_rtt_totals_.assign(rtt.begin(), rtt.end());
+    result.anomalies = anomaly_engine_.Observe(matrix_, totals, store.TakeRttDelta());
+    store.SwapRttRunningTotals(last_rtt_totals_);
   } else {
     last_rtt_totals_.clear();
   }

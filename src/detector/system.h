@@ -389,6 +389,8 @@ class DetectorSystem {
   // (Re)opens the window log when history_dir changed; true when any sink wants this
   // window sealed.
   bool PrepareHistory();
+  // Drops the anomaly engine's per-slot state and re-bases the store's RTT delta log with it.
+  void ResetAnomalyEngine();
   // Enables exactly the diagnoser view state the selected streaming_view reads: the sliding
   // ring and the decayed totals cost O(changed slots) per segment boundary, so the default
   // cumulative view must not maintain them.

@@ -85,17 +85,14 @@ void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
       PutVarint(payload, static_cast<uint64_t>(record.slot));
       PutVarint(payload, record.epoch);
       PutVarint(payload, static_cast<uint64_t>(record.target));
-      PutVarint(payload, static_cast<uint64_t>(record.sketch.num_bins()));
-      const std::span<const int64_t> counts = record.sketch.counts();
-      uint64_t n_nonzero = 0;
-      for (const int64_t count : counts) n_nonzero += count != 0;
-      PutVarint(payload, n_nonzero);
-      int prev_bin = 0;
-      for (int bin = 0; bin < record.sketch.num_bins(); ++bin) {
-        if (counts[static_cast<size_t>(bin)] == 0) continue;
-        PutVarint(payload, static_cast<uint64_t>(bin - prev_bin));
-        PutVarint(payload, static_cast<uint64_t>(counts[static_cast<size_t>(bin)]));
-        prev_bin = bin;
+      PutVarint(payload, static_cast<uint64_t>(record.num_bins));
+      const std::span<const RttBinCount> bins = frame.RttBins(record);
+      PutVarint(payload, bins.size());
+      int32_t prev_bin = 0;
+      for (const RttBinCount& entry : bins) {
+        PutVarint(payload, static_cast<uint64_t>(entry.bin - prev_bin));
+        PutVarint(payload, static_cast<uint64_t>(entry.count));
+        prev_bin = entry.bin;
       }
       PutVarint(out, kExtTypeRttSketch);
       PutVarint(out, payload.size());
@@ -279,7 +276,8 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
       }
       record.slot = static_cast<PathId>(slot);
       record.epoch = static_cast<uint32_t>(epoch);
-      record.sketch = RttSketch(static_cast<int>(num_bins));
+      record.num_bins = static_cast<int32_t>(num_bins);
+      record.bins_offset = static_cast<uint32_t>(frame.rtt_bins.size());
       int64_t bin = -1;
       for (uint64_t j = 0; j < n_nonzero; ++j) {
         uint64_t gap = 0;
@@ -287,16 +285,27 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
         if (!GetVarint(payload, rpos, gap) || !ReadI64(payload, rpos, count)) {
           return DecodeStatus::kTruncated;
         }
+        if (gap >= num_bins) {
+          return DecodeStatus::kMalformed;
+        }
+        const bool repeat = bin >= 0 && gap == 0;
         bin = (bin < 0 ? 0 : bin) + static_cast<int64_t>(gap);
         if (bin >= static_cast<int64_t>(num_bins) || count <= 0) {
           return DecodeStatus::kMalformed;
         }
-        record.sketch.AddCount(static_cast<int>(bin), count);
+        if (repeat) {
+          // A zero gap after the first pair names the same bin again: its counts add, as the
+          // dense sketch this record stands for would hold them.
+          frame.rtt_bins.back().count += count;
+        } else {
+          frame.rtt_bins.push_back(RttBinCount{static_cast<int32_t>(bin), count});
+        }
       }
       if (rpos != payload.size()) {
         return DecodeStatus::kMalformed;  // a known type must parse exactly to its length
       }
-      frame.rtt.push_back(std::move(record));
+      record.bins_len = static_cast<uint32_t>(frame.rtt_bins.size() - record.bins_offset);
+      frame.rtt.push_back(record);
     }
   }
   if (pos != body_size) {

@@ -70,13 +70,17 @@ struct WireIntraDelta {
   bool operator==(const WireIntraDelta&) const = default;
 };
 
-// One per-path RTT sketch delta, carried in the frame's extension section. Epoch semantics
-// match WirePathDelta: a sketch for a stale slot orphans instead of folding.
+// One per-path RTT sketch delta, carried in the frame's extension section, in sparse form: the
+// sketch's bin count and its non-zero bins, which live in the frame's rtt_bins arena
+// [bins_offset, bins_offset + bins_len) in ascending bin order (ReportFrame::RttBins). Epoch
+// semantics match WirePathDelta: a sketch for a stale slot orphans instead of folding.
 struct WireRttDelta {
   PathId slot = -1;
   uint32_t epoch = 0;
   NodeId target = kInvalidNode;
-  RttSketch sketch;
+  int32_t num_bins = 0;
+  uint32_t bins_offset = 0;
+  uint32_t bins_len = 0;
 
   bool operator==(const WireRttDelta&) const = default;
 };
@@ -88,11 +92,24 @@ struct ReportFrame {
   std::vector<WirePathDelta> paths;
   std::vector<WireIntraDelta> intra;
   std::vector<WireRttDelta> rtt;  // extension records; empty frames omit the ext section
+  std::vector<RttBinCount> rtt_bins;  // the rtt records' (bin, count) pairs, record after record
   // Decode-side only: extension records whose type the decoder does not know, skipped over
   // their declared length. Encode ignores it.
   uint64_t unknown_records = 0;
 
   size_t num_observations() const { return paths.size() + intra.size() + rtt.size(); }
+  std::span<const RttBinCount> RttBins(const WireRttDelta& record) const {
+    return std::span<const RttBinCount>(rtt_bins).subspan(record.bins_offset, record.bins_len);
+  }
+  // Appends an RTT record whose sketch has sparse form (num_bins, bins): bins ascending, each
+  // bin at most once, counts positive.
+  void AddRtt(PathId slot, uint32_t epoch, NodeId target, int num_bins,
+              std::span<const RttBinCount> bins) {
+    rtt.push_back(WireRttDelta{slot, epoch, target, num_bins,
+                               static_cast<uint32_t>(rtt_bins.size()),
+                               static_cast<uint32_t>(bins.size())});
+    rtt_bins.insert(rtt_bins.end(), bins.begin(), bins.end());
+  }
 
   bool operator==(const ReportFrame&) const = default;
 };

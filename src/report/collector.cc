@@ -239,7 +239,14 @@ void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame, uint64_t
       ++shard.stats.unknown_slot_dropped;
       continue;
     }
-    store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target, record.sketch);
+    if (record.num_bins != options_.rtt_bins) {
+      // A reporter configured with another bin layout: its sketch cannot merge with this
+      // deployment's. Skip the record (the frame's loss records still fold) and count it.
+      ++shard.stats.rtt_bins_mismatch_dropped;
+      continue;
+    }
+    store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target,
+                                      record.num_bins, frame.RttBins(record));
     ++shard.stats.observations_folded;
   }
   // Extension records the decoder skipped (newer emitter during a mixed-version rollout): the
@@ -292,6 +299,7 @@ CollectorStats Collector::stats() const {
     total.queue_overflow_dropped += s.queue_overflow_dropped;
     total.unknown_slot_dropped += s.unknown_slot_dropped;
     total.unknown_records += s.unknown_records;
+    total.rtt_bins_mismatch_dropped += s.rtt_bins_mismatch_dropped;
     total.wrong_partition_dropped += s.wrong_partition_dropped;
     total.frames_straddled += s.frames_straddled;
     total.max_fold_staleness = std::max(total.max_fold_staleness, s.max_fold_staleness);

@@ -33,11 +33,12 @@ void ReportEmitter::OnIntraRack(NodeId target, int64_t sent, int64_t lost) {
   }
 }
 
-void ReportEmitter::OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) {
+void ReportEmitter::OnPathRtt(PathId slot, NodeId target, int num_bins,
+                              std::span<const RttBinCount> bins) {
   const uint32_t epoch = static_cast<size_t>(slot) < slot_epochs_.size()
                              ? slot_epochs_[static_cast<size_t>(slot)]
                              : 0;
-  pending_.rtt.push_back(WireRttDelta{slot, epoch, target, sketch});
+  pending_.AddRtt(slot, epoch, target, num_bins, bins);
   if (pending_.num_observations() >= batch_observations_) {
     Flush();
   }
@@ -58,6 +59,7 @@ void ReportEmitter::Flush() {
   pending_.paths.clear();
   pending_.intra.clear();
   pending_.rtt.clear();
+  pending_.rtt_bins.clear();
 }
 
 }  // namespace detector

@@ -39,9 +39,10 @@ class ReportEmitter final : public ReportSink {
 
   void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) override;
   void OnIntraRack(NodeId target, int64_t sent, int64_t lost) override;
-  // Buffers the path's RTT sketch as an extension record in the pending frame, stamped with
-  // the same probe-time epoch as the loss record it accompanies.
-  void OnPathRtt(PathId slot, NodeId target, const RttSketch& sketch) override;
+  // Buffers the path's RTT sketch (sparse form) as an extension record in the pending frame,
+  // stamped with the same probe-time epoch as the loss record it accompanies.
+  void OnPathRtt(PathId slot, NodeId target, int num_bins,
+                 std::span<const RttBinCount> bins) override;
 
   // Seals and sends the pending batch (no-op when empty). Call after the window/segment's
   // last record; OnPath/OnIntraRack flush full batches themselves.

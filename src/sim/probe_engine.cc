@@ -94,7 +94,7 @@ PathObservation ProbeEngine::SimulateFlow(std::span<const LinkId> links, const F
 }
 
 PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId src, NodeId dst,
-                                          int packets, Rng& rng, RttSketch* rtt) const {
+                                          int packets, Rng& rng, RttSamples* rtt) const {
   PathObservation obs;
   obs.sent = packets;
   if (packets <= 0) {

@@ -61,14 +61,14 @@ class ProbeEngine {
 
   // Fast mode: `packets` probes between src/dst along the given links, spread evenly over the
   // port loop. Returns sent/lost. With RTT observation attached and `rtt` non-null, samples
-  // the RTT of up to rtt_samples_per_path() surviving probes into the sketch. The samples are
+  // the RTT of up to rtt_samples_per_path() surviving probes into `rtt`. The samples are
   // drawn from the same `rng` stream after this path's loss draws: this call's counters match
   // a call without a sketch, but every later draw on the stream shifts, so a run with
   // observation on is a distinct trajectory from one with it off. Links under a
   // kLatencyInflation failure add their extra delay to every sample — the gray-failure
   // signal.
   PathObservation SimulatePath(std::span<const LinkId> links, NodeId src, NodeId dst,
-                               int packets, Rng& rng, RttSketch* rtt = nullptr) const;
+                               int packets, Rng& rng, RttSamples* rtt = nullptr) const;
 
   // Fast mode for a single fixed flow (one 5-tuple, no port loop) — the baselines' ECMP probes
   // ride one hash per port, each on its own route.
@@ -97,7 +97,7 @@ class ProbeEngine {
   bool latency_as_loss() const { return latency_model_ != nullptr; }
 
   // RTT observation (the anomaly plane's measurement channel, distinct from latency-as-loss):
-  // with a model attached, SimulatePath fills the caller's RttSketch with up to
+  // with a model attached, SimulatePath fills the caller's RttSamples with up to
   // samples_per_path per-survivor RTT draws. An empty link_load_mbps span means unloaded
   // links (load 0 everywhere).
   void AttachRttObservation(const LatencyModel* model, std::span<const double> link_load_mbps,

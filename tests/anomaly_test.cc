@@ -166,6 +166,22 @@ TEST(RttSketch, QuantileBracketsTheSortedOracle) {
 
 // ---- Codec: RTT extension records ---------------------------------------------------------
 
+// The non-zero bins of `sketch`, ascending: its sparse form next to num_bins().
+std::vector<RttBinCount> SparseOf(const RttSketch& sketch) {
+  std::vector<RttBinCount> bins;
+  for (size_t b = 0; b < sketch.counts().size(); ++b) {
+    if (sketch.counts()[b] != 0) {
+      bins.push_back(RttBinCount{static_cast<int32_t>(b), sketch.counts()[b]});
+    }
+  }
+  return bins;
+}
+
+void AddRttRecord(ReportFrame& frame, PathId slot, uint32_t epoch, NodeId target,
+                  const RttSketch& sketch) {
+  frame.AddRtt(slot, epoch, target, sketch.num_bins(), SparseOf(sketch));
+}
+
 ReportFrame RttFrame() {
   ReportFrame frame;
   frame.pinger = 42;
@@ -179,12 +195,12 @@ ReportFrame RttFrame() {
   for (int i = 0; i < 50; ++i) {
     dense.Record(90 + 7 * i);
   }
-  frame.rtt.push_back(WireRttDelta{5, 0, 101, dense});
+  AddRttRecord(frame, 5, 0, 101, dense);
 
   RttSketch sparse(16);  // non-default bin count, gap-coded non-zero runs at both ends
   sparse.AddCount(0, 3);
   sparse.AddCount(15, 2);
-  frame.rtt.push_back(WireRttDelta{700, 2, 99, sparse});
+  AddRttRecord(frame, 700, 2, 99, sparse);
   return frame;
 }
 
@@ -198,11 +214,56 @@ TEST(AnomalyCodec, RttFrameRoundTrip) {
   EXPECT_EQ(decoded.unknown_records, 0u);
 }
 
+TEST(AnomalyCodec, RttFrameGoldenBytes) {
+  // The RTT extension's wire bytes are pinned: a record carrying the sparse form must encode
+  // exactly as the dense sketch it stands for always has (default key, so the tag is fixed).
+  ReportFrame frame;
+  frame.pinger = 42;
+  frame.window_id = 7;
+  frame.seq = 3;
+  frame.paths.push_back(WirePathDelta{5, 0, 101, 120, 4});
+  const RttBinCount wide[] = {{3, 2}, {40, 1}, {79, 300}};
+  frame.AddRtt(5, 0, 101, RttSketch::kDefaultBins, wide);
+  const RttBinCount narrow[] = {{0, 3}, {15, (int64_t{1} << 33) + 1}};
+  frame.AddRtt(700, 2, 99, 16, narrow);
+  const std::vector<uint8_t> golden = {
+      0xd7, 0x52, 0x02, 0xf0, 0xfa, 0xe2, 0xa8, 0xf5, 0xdd, 0xed, 0x8f, 0x2a, 0x07, 0x03,
+      0x01, 0x00, 0x0a, 0x00, 0x65, 0x78, 0x04, 0x02, 0x01, 0x0c, 0x05, 0x00, 0x65, 0x50,
+      0x03, 0x03, 0x02, 0x25, 0x01, 0x27, 0xac, 0x02, 0x01, 0x0e, 0xbc, 0x05, 0x02, 0x63,
+      0x10, 0x02, 0x00, 0x03, 0x0f, 0x81, 0x80, 0x80, 0x80, 0x20, 0x8f, 0x73, 0xd9, 0x23};
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(frame, wire);
+  EXPECT_EQ(wire, golden);
+  ReportFrame decoded;
+  ASSERT_EQ(ReportCodec::Decode(golden, decoded), DecodeStatus::kOk);
+  EXPECT_EQ(decoded, frame);
+}
+
+TEST(AnomalyCodec, RepeatedBinDecodesAsOneSummedPair) {
+  // A zero bin gap after the first pair names the same bin again; the decoder folds it into
+  // one pair, as the dense sketch the record stands for holds it, so decoded pairs stay
+  // ascending and distinct.
+  ReportFrame frame;
+  frame.pinger = 42;
+  frame.window_id = 7;
+  const RttBinCount repeated[] = {{3, 2}, {3, 5}, {9, 1}};
+  frame.AddRtt(5, 0, 101, RttSketch::kDefaultBins, repeated);
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(frame, wire);
+  ReportFrame decoded;
+  ASSERT_EQ(ReportCodec::Decode(wire, decoded), DecodeStatus::kOk);
+  ASSERT_EQ(decoded.rtt.size(), 1u);
+  const std::vector<RttBinCount> want = {{3, 7}, {9, 1}};
+  const std::span<const RttBinCount> got = decoded.RttBins(decoded.rtt[0]);
+  EXPECT_EQ(std::vector<RttBinCount>(got.begin(), got.end()), want);
+}
+
 TEST(AnomalyCodec, LossOnlyFramesCarryNoExtSection) {
   // A frame without RTT records must stay byte-identical to the pre-extension layout: an
   // "old" decoder (max_known_ext_type = 0) accepts it without any unknown-record tally.
   ReportFrame frame = RttFrame();
   frame.rtt.clear();
+  frame.rtt_bins.clear();
   std::vector<uint8_t> wire;
   ReportCodec::Encode(frame, wire);
   ReportFrame decoded;
@@ -449,9 +510,10 @@ TEST(ObservationStoreRtt, RunningSketchesMatchSnapshotUnderFlipsAndInvalidation)
 
   ObservationStore::Shard& shard_a = store.OpenShard(/*pinger=*/0);
   ObservationStore::Shard& shard_b = store.OpenShard(/*pinger=*/1);
-  shard_a.RecordPathWithRtt(0, /*target=*/2, 100, 1, s0);
-  shard_b.RecordPathWithRtt(0, /*target=*/2, 100, 0, s1);  // replica: sketches merge
-  shard_b.RecordPathWithRtt(1, /*target=*/2, 100, 0, s1);
+  shard_a.RecordPathWithRtt(0, /*target=*/2, 100, 1, s0.num_bins(), SparseOf(s0));
+  // Replica: sketches merge.
+  shard_b.RecordPathWithRtt(0, /*target=*/2, 100, 0, s1.num_bins(), SparseOf(s1));
+  shard_b.RecordPathWithRtt(1, /*target=*/2, 100, 0, s1.num_bins(), SparseOf(s1));
   ExpectRttAgreement(store, 4, watchdog, "after initial records");
 
   // A watchdog flip retracts the flagged pinger's sketches together with its counters...
@@ -470,8 +532,9 @@ TEST(ObservationStoreRtt, RunningSketchesMatchSnapshotUnderFlipsAndInvalidation)
   // one stamped with the current epoch folds.
   RttSketch late(RttSketch::kDefaultBins);
   late.Record(77);
-  shard_a.RecordPathRttAtEpoch(0, /*epoch=*/0, /*target=*/2, late);
-  shard_a.RecordPathRttAtEpoch(1, store.SlotEpoch(1), /*target=*/2, late);
+  shard_a.RecordPathRttAtEpoch(0, /*epoch=*/0, /*target=*/2, late.num_bins(), SparseOf(late));
+  shard_a.RecordPathRttAtEpoch(1, store.SlotEpoch(1), /*target=*/2, late.num_bins(),
+                               SparseOf(late));
   ExpectRttAgreement(store, 4, watchdog, "stale and current epoch records");
   const std::vector<RttSketch> merged = SnapshotVector(store, 4, watchdog);
   EXPECT_TRUE(merged[0].empty() || merged[0].total() == 0);  // stale record orphaned

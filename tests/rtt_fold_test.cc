@@ -1,10 +1,12 @@
-// Allocation-free RTT fold tests: RttSketch::MergeSparse (the ObservationStore's per-record
+// Sparse RTT data path tests: RttSketch::MergeSparse (the ObservationStore's per-record
 // (bin, count) fold) against the dense RttSketch::Merge as oracle — cancel-to-empty, sign -1
-// and the bin-count-mismatch CHECK included; DifferenceQuantile against a materialized
-// difference sketch; the store's running RTT sketches against RttSnapshot under randomized
-// mixed direct and report-plane records, watchdog flips, slot invalidation and stale epochs;
-// exact folding of wire counts beyond 32 bits; AnomalyEngine::Observe against the dense-diff
-// body it replaced, boundary by boundary; and Pinger's view-only construction.
+// and the bin-count-mismatch CHECK included; SparseQuantile against a materialized difference
+// sketch; the store's running RTT sketches against RttSnapshot under randomized mixed direct
+// and report-plane records, watchdog flips, slot invalidation and stale epochs; the store's
+// boundary RTT delta (TakeRttDelta) against snapshot differences; exact folding of wire counts
+// beyond 32 bits and the collector's bin-count check; AnomalyEngine::Observe — the dense
+// adapter and the store-fed delta path — against the dense-diff body it replaced, boundary by
+// boundary; and Pinger's view-only construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,9 +37,14 @@ static_assert(!std::is_constructible_v<Pinger, Pinglist&&>);
 static_assert(!std::is_constructible_v<Pinger, const Pinglist&&>);
 static_assert(std::is_constructible_v<Pinger, const Pinglist&>);
 
+// The non-zero bins of `sketch`, ascending: its sparse form next to num_bins().
 std::vector<RttBinCount> SparseOf(const RttSketch& sketch) {
   std::vector<RttBinCount> bins;
-  sketch.AppendNonZero(bins);
+  for (size_t b = 0; b < sketch.counts().size(); ++b) {
+    if (sketch.counts()[b] != 0) {
+      bins.push_back(RttBinCount{static_cast<int32_t>(b), sketch.counts()[b]});
+    }
+  }
   return bins;
 }
 
@@ -126,9 +133,9 @@ TEST(SparseRttMergeDeathTest, MismatchedBinCountsCheckLikeDenseMerge) {
   EXPECT_DEATH(wide.MergeSparse(16, {}), "different bin counts");
 }
 
-// ---- DifferenceQuantile against a materialized difference sketch --------------------------
+// ---- SparseQuantile against a materialized difference sketch -----------------------------
 
-TEST(RttDifferenceQuantile, MatchesTheMaterializedDifference) {
+TEST(RttSparseQuantile, MatchesTheMaterializedDifference) {
   Rng rng(29);
   const double qs[] = {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0};
   for (int trial = 0; trial < 1500; ++trial) {
@@ -150,19 +157,14 @@ TEST(RttDifferenceQuantile, MatchesTheMaterializedDifference) {
     }
     RttSketch diff = cur;
     diff.Merge(prev, -1);
+    // Signed pairs of the difference; its bin count is either side's (an empty side has none).
+    const int num_bins = cur.empty() ? prev.num_bins() : cur.num_bins();
     for (const double q : qs) {
-      EXPECT_EQ(RttSketch::DifferenceQuantile(cur, prev, q), diff.Quantile(q))
+      EXPECT_EQ(RttSketch::SparseQuantile(diff.total(), num_bins, SparseOf(diff), q),
+                diff.Quantile(q))
           << "trial " << trial << " q " << q;
     }
   }
-}
-
-TEST(RttDifferenceQuantileDeathTest, MismatchedBinCountsCheck) {
-  RttSketch wide(RttSketch::kDefaultBins);
-  wide.Record(100);
-  RttSketch narrow(16);
-  narrow.Record(100);
-  EXPECT_DEATH(RttSketch::DifferenceQuantile(wide, narrow, 0.5), "different bin counts");
 }
 
 // ---- Store: running sketches == snapshot under mixed direct/report-plane records ----------
@@ -211,17 +213,18 @@ TEST(StoreRttFold, RunningEqualsSnapshotUnderRandomMixedRecords) {
       switch (rng.NextBounded(8)) {
         case 0:  // direct record with a sketch
         case 1:
-          shard.RecordPathWithRtt(slot, target, 10, 1, sketch);
+          shard.RecordPathWithRtt(slot, target, 10, 1, sketch.num_bins(), SparseOf(sketch));
           break;
         case 2:  // direct loss-only record
           shard.RecordPath(slot, target, 10, 2);
           break;
         case 3:  // report-plane pair at the current epoch
           shard.RecordPathAtEpoch(slot, epoch, target, 10, 0);
-          shard.RecordPathRttAtEpoch(slot, epoch, target, sketch);
+          shard.RecordPathRttAtEpoch(slot, epoch, target, sketch.num_bins(), SparseOf(sketch));
           break;
         case 4:  // report-plane record stamped before an invalidation: orphans
-          shard.RecordPathRttAtEpoch(slot, epoch == 0 ? 0 : epoch - 1, target, sketch);
+          shard.RecordPathRttAtEpoch(slot, epoch == 0 ? 0 : epoch - 1, target, sketch.num_bins(),
+                                     SparseOf(sketch));
           break;
         case 5: {  // watchdog flip
           const NodeId node = static_cast<NodeId>(rng.NextBounded(kNodes));
@@ -258,6 +261,147 @@ TEST(StoreRttFold, RunningEqualsSnapshotUnderRandomMixedRecords) {
   EXPECT_GT(folded_samples, 0);  // non-vacuous: samples survived the filters
 }
 
+// ---- Store: the boundary RTT delta == snapshot(now) - snapshot(at the last take) ----------
+
+// Checks one TakeRttDelta against the snapshot difference: every slot's sketch at the last take
+// merged with its pairs is its sketch now, the bin count attached is the one it has now, pairs
+// are normalized, and slots absent from the delta did not change. Advances `base` to now and
+// returns the number of slots in the delta.
+size_t ExpectDeltaMatchesSnapshots(ObservationStore& store, size_t num_slots,
+                                 const Watchdog& watchdog, std::vector<RttSketch>& base,
+                                 const std::string& when) {
+  store.RunningTotals(num_slots, watchdog);
+  const RttDelta& delta = store.TakeRttDelta();
+  std::vector<RttSketch> now = store.RttSnapshot(num_slots, watchdog);
+  base.resize(num_slots);
+  std::vector<bool> in_delta(num_slots, false);
+  EXPECT_EQ(delta.offsets.size(), delta.size() + 1) << when;
+  EXPECT_EQ(delta.num_bins.size(), delta.size()) << when;
+  for (size_t i = 0; i < delta.size(); ++i) {
+    const size_t slot = static_cast<size_t>(delta.slots[i]);
+    EXPECT_LT(slot, num_slots) << when;
+    if (slot >= num_slots) {
+      return 0;
+    }
+    if (i > 0) {
+      EXPECT_GT(delta.slots[i], delta.slots[i - 1]) << when << ": slots not ascending";
+    }
+    in_delta[slot] = true;
+    const std::span<const RttBinCount> pairs = delta.Bins(i);
+    for (size_t j = 0; j < pairs.size(); ++j) {
+      EXPECT_NE(pairs[j].count, 0) << when << " slot " << slot;
+      if (j > 0) {
+        EXPECT_GT(pairs[j].bin, pairs[j - 1].bin) << when << " slot " << slot;
+      }
+    }
+    EXPECT_EQ(delta.num_bins[i], now[slot].num_bins()) << when << " slot " << slot;
+    RttSketch merged = base[slot];
+    const int bins = delta.num_bins[i] != 0 ? delta.num_bins[i] : merged.num_bins();
+    if (bins == 0) {
+      EXPECT_TRUE(pairs.empty()) << when << " slot " << slot;
+    } else {
+      merged.MergeSparse(bins, pairs);
+    }
+    EXPECT_EQ(merged, now[slot]) << when << " slot " << slot;
+  }
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    if (!in_delta[slot]) {
+      EXPECT_EQ(base[slot], now[slot]) << when << " slot " << slot << " changed off the delta";
+    }
+  }
+  base = std::move(now);
+  return delta.size();
+}
+
+TEST(StoreRttDelta, TakeEqualsSnapshotDifferenceUnderRandomMixedRecords) {
+  Topology topo("rtt-delta");
+  constexpr int kNodes = 6;
+  for (int i = 0; i < kNodes; ++i) {
+    topo.AddNode(NodeKind::kServer, 0, i, "s" + std::to_string(i));
+  }
+  Rng rng(43);
+  Watchdog watchdog(topo);
+  ObservationStore store;
+  size_t num_slots = 4;
+  store.EnsureSlots(num_slots);
+  std::vector<RttSketch> base(num_slots);  // the snapshot at the last take
+  size_t nonempty_takes = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const NodeId pinger = static_cast<NodeId>(rng.NextBounded(4));
+    const NodeId target = static_cast<NodeId>(rng.NextBounded(kNodes));
+    const PathId slot = static_cast<PathId>(rng.NextBounded(num_slots));
+    ObservationStore::Shard& shard = store.OpenShard(pinger);
+    const RttSketch sketch =
+        RandomSketch(rng, RttSketch::kDefaultBins, 1 + static_cast<int>(rng.NextBounded(3)));
+    const uint32_t epoch = store.SlotEpoch(static_cast<size_t>(slot));
+    const std::string when = "step " + std::to_string(step);
+    switch (rng.NextBounded(12)) {
+      case 0:  // direct record with a sketch
+      case 1:
+      case 2:
+        shard.RecordPathWithRtt(slot, target, 10, 1, sketch.num_bins(), SparseOf(sketch));
+        break;
+      case 3:  // direct loss-only record: never touches the delta
+        shard.RecordPath(slot, target, 10, 2);
+        break;
+      case 4:  // report-plane pair at the current epoch (a reused slot's new occupant)
+        shard.RecordPathAtEpoch(slot, epoch, target, 10, 0);
+        shard.RecordPathRttAtEpoch(slot, epoch, target, sketch.num_bins(), SparseOf(sketch));
+        break;
+      case 5:  // report-plane record stamped before an invalidation: orphans
+        shard.RecordPathRttAtEpoch(slot, epoch == 0 ? 0 : epoch - 1, target,
+                                   sketch.num_bins(), SparseOf(sketch));
+        break;
+      case 6: {  // watchdog flip
+        const NodeId node = static_cast<NodeId>(rng.NextBounded(kNodes));
+        if (watchdog.IsHealthy(node)) {
+          watchdog.MarkDown(node);
+        } else {
+          watchdog.MarkUp(node);
+        }
+        break;
+      }
+      case 7: {  // mid-window slot invalidation
+        const PathId stale[] = {slot};
+        store.InvalidateSlots(stale);
+        break;
+      }
+      case 8:  // slot-table growth
+        if (num_slots < 12 && rng.NextBounded(4) == 0) {
+          ++num_slots;
+          store.EnsureSlots(num_slots);
+        }
+        break;
+      case 9:  // boundary
+      case 10:
+        nonempty_takes +=
+            ExpectDeltaMatchesSnapshots(store, num_slots, watchdog, base, when) > 0 ? 1 : 0;
+        break;
+      default:  // window end or a consumer reset: the next take starts from zero
+        if (rng.NextBounded(8) == 0) {
+          if (rng.NextBounded(2) == 0) {
+            store.Clear();
+          } else {
+            store.RebaseRttDelta();  // unfolded records and unapplied flips log later
+          }
+          base.assign(num_slots, RttSketch{});
+        }
+        break;
+    }
+    if (HasFailure()) {
+      return;
+    }
+  }
+  ExpectDeltaMatchesSnapshots(store, num_slots, watchdog, base, "end");
+  EXPECT_GT(nonempty_takes, 100u);
+  // A take with nothing logged since is empty.
+  EXPECT_EQ(store.TakeRttDelta().size(), 0u);
+  // Loss-only records never reach the delta.
+  store.OpenShard(0).RecordPath(0, 1, 10, 1);
+  store.RunningTotals(num_slots, watchdog);
+  EXPECT_EQ(store.TakeRttDelta().size(), 0u);
+}
+
 // ---- Wire counts beyond 32 bits fold exactly ----------------------------------------------
 
 TEST(StoreRttFold, WireCountsBeyondThirtyTwoBitsFoldExactly) {
@@ -279,7 +423,7 @@ TEST(StoreRttFold, WireCountsBeyondThirtyTwoBitsFoldExactly) {
     frame.pinger = pinger;
     frame.window_id = 1;
     frame.seq = 0;
-    frame.rtt.push_back(WireRttDelta{2, 0, ft.Server(1, 0, 0), sketch});
+    frame.AddRtt(2, 0, ft.Server(1, 0, 0), sketch.num_bins(), SparseOf(sketch));
     std::vector<uint8_t> wire;
     ReportCodec::Encode(frame, wire);
     ASSERT_TRUE(collector.Offer(wire));
@@ -302,6 +446,46 @@ TEST(StoreRttFold, WireCountsBeyondThirtyTwoBitsFoldExactly) {
   EXPECT_EQ(store.RttRunningTotals()[2].total(), huge + over);
 }
 
+// ---- Collector: RTT records with a foreign bin count are skipped and counted --------------
+
+TEST(StoreRttFold, CollectorSkipsRttRecordsWithAForeignBinCount) {
+  const FatTree ft(4);
+  Watchdog watchdog(ft.topology());
+  ObservationStore store;
+  store.EnsureSlots(4);
+  Collector collector(store);  // the deployment's bin count: RttSketch::kDefaultBins
+  collector.BeginWindow(1);
+
+  RttSketch ours(RttSketch::kDefaultBins);
+  ours.Record(100);
+  RttSketch foreign(16);
+  foreign.Record(100);
+  const NodeId reporters[] = {ft.Server(0, 0, 0), ft.Server(0, 0, 1)};
+  const RttSketch* sketches[] = {&ours, &foreign};
+  for (int i = 0; i < 2; ++i) {
+    ReportFrame frame;
+    frame.pinger = reporters[i];
+    frame.window_id = 1;
+    frame.paths.push_back(WirePathDelta{2, 0, ft.Server(1, 0, 0), 10, 1});
+    frame.AddRtt(2, 0, ft.Server(1, 0, 0), sketches[i]->num_bins(), SparseOf(*sketches[i]));
+    std::vector<uint8_t> wire;
+    ReportCodec::Encode(frame, wire);
+    ASSERT_TRUE(collector.Offer(wire));
+  }
+  EXPECT_EQ(collector.Drain(), 2u);
+
+  // Folding both sketches into one slot would abort on the bin-count CHECK; the foreign one
+  // never reaches the store, while both frames' loss records do.
+  const ObservationView totals = store.RunningTotals(4, watchdog);
+  EXPECT_EQ(totals[2].sent, 20);
+  EXPECT_EQ(totals[2].lost, 2);
+  EXPECT_EQ(store.RttRunningTotals()[2], ours);
+  const CollectorStats stats = collector.stats();
+  EXPECT_EQ(stats.rtt_bins_mismatch_dropped, 1u);
+  EXPECT_EQ(stats.frames_folded, 2u);
+  EXPECT_EQ(stats.observations_folded, 3u);  // two loss records, one RTT record
+}
+
 // ---- AnomalyEngine::Observe against the dense-diff body it replaced -----------------------
 
 // The Observe body as it was before the delta quantiles were computed in place: it builds
@@ -309,7 +493,16 @@ TEST(StoreRttFold, WireCountsBeyondThirtyTwoBitsFoldExactly) {
 // quantiles. BeginWindow frees the previous-boundary sketches.
 class DenseDiffAnomalyEngine {
  public:
-  using SlotState = AnomalyEngine::SlotState;
+  // AnomalyEngine::SlotState as it was: the previous boundary's RTT sketch kept whole.
+  struct SlotState {
+    PathObservation prev;
+    RttSketch prev_rtt;
+    EwmaBaseline loss;
+    EwmaBaseline p50;
+    EwmaBaseline p99;
+    int32_t loss_run = 0;
+    int32_t lat_run = 0;
+  };
 
   explicit DenseDiffAnomalyEngine(AnomalyOptions options) : options_(options), pll_(options.pll) {}
 
@@ -475,13 +668,15 @@ void ExpectSameBaseline(const EwmaBaseline& got, const EwmaBaseline& want,
 }
 
 void ExpectSameSlots(std::span<const AnomalyEngine::SlotState> got,
-                     std::span<const AnomalyEngine::SlotState> want, const std::string& when) {
+                     std::span<const DenseDiffAnomalyEngine::SlotState> want,
+                     const std::string& when) {
   ASSERT_EQ(got.size(), want.size()) << when;
   for (size_t s = 0; s < got.size(); ++s) {
     const std::string where = when + " slot " + std::to_string(s);
     EXPECT_EQ(got[s].prev.sent, want[s].prev.sent) << where;
     EXPECT_EQ(got[s].prev.lost, want[s].prev.lost) << where;
-    EXPECT_EQ(got[s].prev_rtt, want[s].prev_rtt) << where;
+    EXPECT_EQ(got[s].prev_rtt_total, want[s].prev_rtt.total()) << where;
+    EXPECT_EQ(got[s].prev_rtt_bins, want[s].prev_rtt.num_bins()) << where;
     ExpectSameBaseline(got[s].loss, want[s].loss, where + " loss");
     ExpectSameBaseline(got[s].p50, want[s].p50, where + " p50");
     ExpectSameBaseline(got[s].p99, want[s].p99, where + " p99");
@@ -525,6 +720,24 @@ TEST(AnomalyObserveOracle, MatchesDenseDiffBodyOnRandomBoundarySequences) {
           case 2:  // non-empty -> empty
             rtt[s].Clear();
             break;
+          case 3:  // silent, but a retract and an add moved one sample to another bin
+            if (!rtt[s].empty()) {
+              for (size_t b = 0; b < rtt[s].counts().size(); ++b) {
+                if (rtt[s].counts()[b] > 0) {
+                  RttSketch moved(RttSketch::kDefaultBins);
+                  moved.AddCount(static_cast<int>(b), -1);
+                  moved.AddCount(static_cast<int>((b + 1 + rng.NextBounded(60)) % 80), 1);
+                  rtt[s].Merge(moved);
+                  break;
+                }
+              }
+            }
+            break;
+          case 4:  // silent, but an empty sketch became an allocated all-zero one
+            if (rtt[s].empty()) {
+              rtt[s] = RttSketch(RttSketch::kDefaultBins);
+            }
+            break;
           default: {  // ordinary traffic
             const int64_t sent = 200 + static_cast<int64_t>(rng.NextBounded(50));
             totals[s].sent += sent;
@@ -567,6 +780,140 @@ TEST(AnomalyObserveOracle, MatchesDenseDiffBodyOnRandomBoundarySequences) {
     }
   }
   EXPECT_GT(alarms_raised, 0u);  // non-vacuous: the drifting regimes raised alarms
+}
+
+// Totals shorter than the RTT sketches (a matrix smaller than the store's slot table): the
+// slots beyond them sit the boundary out, and their RTT change must still count when they
+// are observed again. Three boundaries stay inside the warmup, so nothing is localized.
+TEST(AnomalyObserveOracle, SlotsBeyondTheTotalsKeepTheirChange) {
+  const ChainNet net;
+  const size_t num_slots = net.matrix.NumPaths();
+  AnomalyEngine engine;
+  DenseDiffAnomalyEngine oracle(engine.options());
+  Observations totals(num_slots);
+  std::vector<RttSketch> rtt(num_slots, RttSketch(RttSketch::kDefaultBins));
+  const size_t observed[] = {num_slots, num_slots / 2, num_slots};
+  for (int boundary = 0; boundary < 3; ++boundary) {
+    for (size_t s = 0; s < num_slots; ++s) {
+      totals[s].sent += 100;
+      rtt[s].Record(100 + 10 * static_cast<int64_t>(s) + boundary);
+      rtt[s].Record(300);
+    }
+    const ObservationView view(totals.data(), observed[boundary]);
+    const std::string when = "boundary " + std::to_string(boundary);
+    EXPECT_EQ(engine.Observe(net.matrix, view, rtt), oracle.Observe(net.matrix, view, rtt))
+        << when;
+    ExpectSameSlots(engine.slot_states(), oracle.slot_states(), when);
+  }
+}
+
+// The live path: the store's delta feeds the engine while the oracle reads the store's dense
+// running sketches, under random direct records, watchdog flips, invalidations, window ends
+// (store Clear + BeginWindow) and matrix rebuilds (Reset + RebaseRttDelta, mid-window).
+TEST(AnomalyObserveOracle, StoreDeltaPathMatchesDenseDiffBody) {
+  const ChainNet net;
+  const size_t num_slots = net.matrix.NumPaths();
+  Topology hosts("hosts");  // pingers 0-2 and targets 3-4, as servers the watchdog can flag
+  for (int i = 0; i < 5; ++i) {
+    hosts.AddNode(NodeKind::kServer, 0, i, "h" + std::to_string(i));
+  }
+  size_t alarms_raised = 0;
+  size_t rebases = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(100 + seed);
+    Watchdog watchdog(hosts);
+    ObservationStore store;
+    store.EnsureSlots(num_slots);
+    AnomalyEngine engine;
+    DenseDiffAnomalyEngine oracle(engine.options());
+    for (int boundary = 0; boundary < 300; ++boundary) {
+      const size_t slow = static_cast<size_t>((boundary / 20 + seed) % (num_slots + 1));
+      const size_t lossy = static_cast<size_t>((boundary / 23 + 2 * seed) % (num_slots + 1));
+      const int records = static_cast<int>(rng.NextBounded(12));
+      for (int r = 0; r < records; ++r) {
+        const NodeId pinger = static_cast<NodeId>(rng.NextBounded(3));
+        const NodeId target = static_cast<NodeId>(3 + rng.NextBounded(2));
+        const size_t slot = static_cast<size_t>(rng.NextBounded(num_slots));
+        ObservationStore::Shard& shard = store.OpenShard(pinger);
+        const int64_t sent = 50 + static_cast<int64_t>(rng.NextBounded(20));
+        const int64_t lost = slot == lossy ? sent / 4 : static_cast<int64_t>(rng.NextBounded(2));
+        RttSamples samples(RttSketch::kDefaultBins);
+        const int64_t base = slot == slow ? 4000 : 100;
+        for (uint64_t i = rng.NextBounded(5); i > 0; --i) {
+          samples.Record(base + static_cast<int64_t>(rng.NextBounded(40)));
+        }
+        if (samples.empty()) {
+          shard.RecordPath(static_cast<PathId>(slot), target, sent, lost);
+        } else {
+          shard.RecordPathWithRtt(static_cast<PathId>(slot), target, sent, lost,
+                                  samples.num_bins(), samples.bins());
+        }
+      }
+      switch (rng.NextBounded(40)) {
+        case 0: {  // watchdog flip of a pinger or target
+          const NodeId node = static_cast<NodeId>(rng.NextBounded(5));
+          if (watchdog.IsHealthy(node)) {
+            watchdog.MarkDown(node);
+          } else {
+            watchdog.MarkUp(node);
+          }
+          break;
+        }
+        case 1: {  // mid-window invalidation; the slot's next records are its new occupant's
+          const PathId stale[] = {static_cast<PathId>(rng.NextBounded(num_slots))};
+          store.InvalidateSlots(stale);
+          break;
+        }
+        case 2:  // matrix rebuild: the engine drops its state, the store re-bases its log
+          engine.Reset();
+          store.RebaseRttDelta();
+          oracle.Reset();
+          ++rebases;
+          break;
+        case 3:  // window end: the store clears, both engines re-base at zero
+          store.Clear();
+          engine.BeginWindow();
+          oracle.BeginWindow();
+          break;
+        default:
+          break;
+      }
+      const std::string when =
+          "seed " + std::to_string(seed) + " boundary " + std::to_string(boundary);
+      const ObservationView totals = store.RunningTotals(num_slots, watchdog);
+      const std::vector<LinkAnomaly> want =
+          oracle.Observe(net.matrix, totals, store.RttRunningTotals());
+      const std::vector<LinkAnomaly> got =
+          engine.Observe(net.matrix, totals, store.TakeRttDelta());
+      ASSERT_EQ(got, want) << when;
+      alarms_raised += got.size();
+      ExpectSameSlots(engine.slot_states(), oracle.slot_states(), when);
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  EXPECT_GT(alarms_raised, 0u);  // non-vacuous: the drifting regimes raised alarms
+  EXPECT_GT(rebases, 0u);
+}
+
+TEST(AnomalyObserveDeathTest, MismatchedBinCountsCheckLikeDenseMerge) {
+  const ChainNet net;
+  const size_t num_slots = net.matrix.NumPaths();
+  Observations totals(num_slots);
+  std::vector<RttSketch> rtt(num_slots);
+  AnomalyEngine engine;
+  totals[0].sent = 100;
+  rtt[0] = RttSketch(RttSketch::kDefaultBins);
+  rtt[0].Record(100);
+  engine.Observe(net.matrix, totals, rtt);
+  // The slot's sketch empties and comes back with another bin count: the boundary delta
+  // mixes two layouts, which the dense diff refused with Merge's CHECK.
+  totals[0].sent = 200;
+  rtt[0] = RttSketch(16);
+  rtt[0].Record(100);
+  rtt[0].Record(100);
+  EXPECT_DEATH(engine.Observe(net.matrix, totals, rtt), "different bin counts");
 }
 
 // ---- Pinger: one reused sketch per run, nothing leaks between entries ---------------------
